@@ -40,13 +40,7 @@ def _as_coeff(value):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, Poly):
-        return value
     raise TypeError(f"unsupported coefficient type: {type(value).__name__}")
-
-
-def _coeff_is_zero(c) -> bool:
-    return c.is_zero() if isinstance(c, Poly) else c == 0
 
 
 @dataclass(frozen=True)
@@ -54,9 +48,8 @@ class Poly:
     """Dense univariate polynomial: ``coeffs[i]`` multiplies ``var**i``.
 
     Trailing zero coefficients are stripped on construction, so equal
-    polynomials are structurally equal.  Coefficients are Fractions, except
-    inside :func:`resultant`, which accepts polynomials whose coefficients are
-    themselves ``Poly`` values in a second variable (and only there).
+    polynomials are structurally equal.  Coefficients are always Fractions
+    (ints are converted); there are no polynomials over polynomial rings.
     """
 
     var: str
@@ -64,7 +57,7 @@ class Poly:
 
     def __init__(self, var: str, coeffs: Sequence = ()):
         cs = [_as_coeff(c) for c in coeffs]
-        while cs and _coeff_is_zero(cs[-1]):
+        while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -108,11 +101,6 @@ class Poly:
 
     def coeff(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
-
-    def _require_rational(self) -> None:
-        if any(isinstance(c, Poly) for c in self.coeffs):
-            raise ValueError("unsupported variable configuration: "
-                             "operation needs rational coefficients")
 
     def _join_var(self, other: Poly) -> str:
         if self.var == other.var:
@@ -165,7 +153,7 @@ class Poly:
             return Poly.zero(var)
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if _coeff_is_zero(a):
+            if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
@@ -189,8 +177,6 @@ class Poly:
         """Euclidean division: returns (q, r) with self = q*divisor + r."""
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        self._require_rational()
-        divisor._require_rational()
         var = self._join_var(divisor)
         rem = list(self.coeffs)
         dd = len(divisor.coeffs) - 1
@@ -214,7 +200,6 @@ class Poly:
 
     def diff(self) -> Poly:
         """Formal derivative with respect to the polynomial's own variable."""
-        self._require_rational()
         return Poly(self.var, tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
     def monic(self) -> Poly:
@@ -242,7 +227,6 @@ def content_and_primitive(p: Poly) -> tuple[Fraction, Poly]:
     positive leading coefficient on the primitive part."""
     if p.is_zero():
         return Fraction(0), p
-    p._require_rational()
     den_lcm = 1
     for c in p.coeffs:
         den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
@@ -374,86 +358,27 @@ def normalized_part(p: Poly) -> Poly:
 # -- resultants ----------------------------------------------------------
 
 
-def _exact_div_entry(num, den):
-    if isinstance(num, Poly):
-        return num.exact_div(den)
-    return num / den
-
-
-def _bareiss_det(matrix: list[list], one, zero):
-    """Fraction-free Bareiss determinant; exact over Q and over Q[t]."""
-    n = len(matrix)
-    if n == 0:
-        return one
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if _coeff_is_zero(matrix[k][k]):
-            for r in range(k + 1, n):
-                if not _coeff_is_zero(matrix[r][k]):
-                    matrix[k], matrix[r] = matrix[r], matrix[k]
-                    sign = -sign
-                    break
-            else:
-                return zero
-        pivot = matrix[k][k]
-        for i in range(k + 1, n):
-            row = matrix[i]
-            lead = row[k]
-            for j in range(k + 1, n):
-                row[j] = _exact_div_entry(pivot * row[j] - lead * matrix[k][j], prev)
-            row[k] = zero
-        prev = pivot
-    det = matrix[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
 def resultant(a: Poly, b: Poly) -> Poly:
-    """Resultant with respect to the polynomials' shared variable, as the
-    Sylvester determinant in argument order (a, b).
+    """Resultant over Q, equal to the Sylvester determinant in argument
+    order (a, b), returned as a constant polynomial.
 
-    Coefficients may be Fractions, or Poly values in a single second variable;
-    in the latter case the result is a Poly in that variable.  Sign convention
-    is fixed by the Sylvester layout; consumers that only care about root sets
-    should normalize with :func:`normalized_part`.
+    Computed by the Euclidean remainder sequence, with res(a, b) =
+    (-1)^(mn) lc(b)^(m - deg r) res(b, r) for r = a mod b.  The decision
+    procedures never call it (they build their resultants from power sums);
+    it stays as the independent oracle they are tested against.
     """
     if a.is_zero() or b.is_zero():
         raise ValueError("resultant of the zero polynomial is undefined")
     var = a._join_var(b)
-    inner = None
-    for c in (*a.coeffs, *b.coeffs):
-        if isinstance(c, Poly):
-            if inner is None:
-                inner = c.var
-            elif inner != c.var:
-                raise ValueError("unsupported variable configuration: "
-                                 "more than one coefficient variable")
-    m = len(a.coeffs) - 1
-    n = len(b.coeffs) - 1
-
-    if inner is None:
-        one, zero = Fraction(1), Fraction(0)
-        lift = Fraction
-    else:
-        one, zero = Poly.const(inner, 1), Poly.zero(inner)
-
-        def lift(c):
-            return c if isinstance(c, Poly) else Poly.const(inner, c)
-
-    size = m + n
-    if size == 0:
-        return Poly.const(inner or var, 1)
-    rows = []
-    rev_a = [lift(c) for c in reversed(a.coeffs)]
-    rev_b = [lift(c) for c in reversed(b.coeffs)]
-    for i in range(n):
-        rows.append([zero] * i + rev_a + [zero] * (size - i - m - 1))
-    for i in range(m):
-        rows.append([zero] * i + rev_b + [zero] * (size - i - n - 1))
-    det = _bareiss_det(rows, one, zero)
-    if inner is None:
-        return Poly.const(var, det)
-    return det
+    m, n = a.degree(), b.degree()
+    result = Fraction(1)
+    while n > 0:
+        r = a.divrem(b)[1]
+        if r.is_zero():
+            return Poly.zero(var)
+        result *= (-1) ** (m * n) * b.leading() ** (m - r.degree())
+        a, b, m, n = b, r, n, r.degree()
+    return Poly.const(var, result * b.leading() ** m)
 
 
 # -- rational roots ------------------------------------------------------
@@ -506,7 +431,6 @@ def rational_roots(p: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has every root")
-    p._require_rational()
     roots: list[tuple[Fraction, int]] = []
     rest = p
     low = 0
@@ -563,8 +487,6 @@ class RatFunc:
             den = Poly.const(num.var, 1)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        num._require_rational()
-        den._require_rational()
         var = num._join_var(den)
         if num.is_zero():
             num, den = Poly.zero(var), Poly.const(var, 1)
@@ -580,10 +502,6 @@ class RatFunc:
         object.__setattr__(self, "den", den)
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_poly(cls, p: Poly) -> RatFunc:
-        return cls(p)
 
     @classmethod
     def const(cls, var: str, value) -> RatFunc:

@@ -16,8 +16,9 @@ rendering, on by default).
 
 Exit codes: 0 verdicts produced; 1 parse or usage error; 2 precondition
 violation (zero right-hand side, malformed coefficient list, resource limit);
-3 internal inconsistency (an emitted witness failed verification — a bug,
-reported loudly).
+3 internal inconsistency (an emitted witness failed verification, or any
+other unexpected exception — a bug, reported loudly on its own line while a
+batch goes on).
 """
 
 from __future__ import annotations
@@ -88,11 +89,6 @@ def _tower_witness_json(witness: TowerWitness) -> dict:
     }
 
 
-def _verification_json(report: VerificationReport) -> dict:
-    return {"identity": report.identity, "passed": report.passed,
-            "residual": report.residual}
-
-
 class Outcome:
     """A single report plus the exit severity it implies."""
 
@@ -108,6 +104,14 @@ def _base_report(equation: str, procedure: str, status: str) -> dict:
             "branch": None, "reason": None, "witness": None,
             "certificate": None, "hypothesis_report": None, "details": None,
             "verification": None, "error": None}
+
+
+def _checked(report: dict, human: list[str], check: VerificationReport) -> Outcome:
+    """Attach a verification result; a failed check is an internal error."""
+    report["verification"] = {"identity": check.identity, "passed": check.passed,
+                              "residual": check.residual}
+    human.append(f"verified:  {'pass' if check.passed else 'FAIL'}")
+    return Outcome(report, EXIT_OK if check.passed else EXIT_INTERNAL, human)
 
 
 def _autonomous_outcome(text: str, verdict: AutonomousVerdict,
@@ -138,10 +142,7 @@ def _autonomous_outcome(text: str, verdict: AutonomousVerdict,
         check = verify_autonomous_witness(parse_expression(text, "y"),
                                           verdict.branch, verdict.witness,
                                           verdict.scale)
-        report["verification"] = _verification_json(check)
-        human.append(f"verified:  {'pass' if check.passed else 'FAIL'}")
-        if not check.passed:
-            return Outcome(report, EXIT_INTERNAL, human)
+        return _checked(report, human, check)
     return Outcome(report, EXIT_OK, human)
 
 
@@ -166,10 +167,7 @@ def _square_outcome(text: str, poly: Poly, verdict: SquareVerdict,
             human.append(f"           extension: {symbol}^2 = {verdict.witness.quad_ext.square}")
     if want_verify and verdict.witness is not None:
         check = verify_square_witness(poly, verdict.witness)
-        report["verification"] = _verification_json(check)
-        human.append(f"verified:  {'pass' if check.passed else 'FAIL'}")
-        if not check.passed:
-            return Outcome(report, EXIT_INTERNAL, human)
+        return _checked(report, human, check)
     return Outcome(report, EXIT_OK, human)
 
 
@@ -224,10 +222,7 @@ def _antider_outcome(text: str, f: RatFunc, want_witness: bool,
             residual = anti.diff() - f
             check = VerificationReport(f"d/dx[{render(anti)}] = {text}",
                                        residual.is_zero(), render(residual))
-            report["verification"] = _verification_json(check)
-            human.append(f"verified:  {'pass' if check.passed else 'FAIL'}")
-            if not check.passed:
-                return Outcome(report, EXIT_INTERNAL, human)
+            return _checked(report, human, check)
     else:
         report["reason"] = "no rational antiderivative (nonzero Hermite remainder)"
         human.append("status:    no antiderivative within Q(x); no liouvillian claim made")
@@ -256,10 +251,7 @@ def _logderiv_outcome(text: str, f: RatFunc, want_witness: bool,
             check = VerificationReport(
                 f"d/dx[{render(verdict.gamma)}] = ({text}) * {render(verdict.gamma)}",
                 residual.is_zero(), render(residual))
-            report["verification"] = _verification_json(check)
-            human.append(f"verified:  {'pass' if check.passed else 'FAIL'}")
-            if not check.passed:
-                return Outcome(report, EXIT_INTERNAL, human)
+            return _checked(report, human, check)
     elif verdict.kind == "algebraic":
         report["reason"] = "gamma exists but only algebraic over Q(x)"
         human.append("status:    some algebraic gamma satisfies gamma'/gamma = f, "
@@ -306,21 +298,25 @@ def _process_line(procedure: str, text: str, args: argparse.Namespace) -> Outcom
                                      want_witness, want_verify)
         raise AssertionError(f"unknown procedure {procedure}")
     except ParseError as exc:
-        report = _base_report(text, procedure, "error")
-        report["error"] = str(exc)
-        return Outcome(report, EXIT_PARSE, [f"error:     {exc}"])
+        return _error(text, procedure, EXIT_PARSE, str(exc))
     except ResourceLimitError as exc:
-        report = _base_report(text, procedure, "error")
-        report["error"] = f"resource limit: {exc}"
-        return Outcome(report, EXIT_PRECONDITION, [f"error:     resource limit: {exc}"])
+        return _error(text, procedure, EXIT_PRECONDITION, f"resource limit: {exc}")
     except InternalInconsistencyError as exc:
-        report = _base_report(text, procedure, "error")
-        report["error"] = f"internal inconsistency: {exc}"
-        return Outcome(report, EXIT_INTERNAL, [f"error:     INTERNAL: {exc}"])
+        return _error(text, procedure, EXIT_INTERNAL,
+                      f"internal inconsistency: {exc}", f"INTERNAL: {exc}")
     except (ValueError, ZeroDivisionError) as exc:
-        report = _base_report(text, procedure, "error")
-        report["error"] = str(exc)
-        return Outcome(report, EXIT_PRECONDITION, [f"error:     {exc}"])
+        return _error(text, procedure, EXIT_PRECONDITION, str(exc))
+    except Exception as exc:  # a bug: report it on this line, keep the batch going
+        message = f"{type(exc).__name__}: {exc}"
+        return _error(text, procedure, EXIT_INTERNAL,
+                      f"internal error: {message}", f"INTERNAL: {message}")
+
+
+def _error(text: str, procedure: str, severity: int, message: str,
+           human: str | None = None) -> Outcome:
+    report = _base_report(text, procedure, "error")
+    report["error"] = message
+    return Outcome(report, severity, [f"error:     {human or message}"])
 
 
 def _emit(outcome: Outcome, as_json: bool, stream) -> None:

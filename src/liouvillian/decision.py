@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import (InternalInconsistencyError, Poly, RatFunc, gcd,
-                      is_squarefree, rational_roots)
+from .algebra import InternalInconsistencyError, Poly, RatFunc, is_squarefree
 from .reduction import (REASON_NOT_SQUAREFREE, ResidueCertificate,
                         log_derivative_up_to_constant,
-                        rational_antiderivative, residue_resultant)
+                        rational_antiderivative, residue_resultant,
+                        split_residues)
 from .towers import (ANTIDERIVATIVE, Generator, QuadExtension, QuadValue,
                      TowerWitness, antiderivative_witness, exponential_witness)
 from .verify import (is_rational_square, rational_square_root,
@@ -256,16 +256,12 @@ def log_derivative_of_algebraic(alpha: RatFunc) -> LogDerivativeOfAlgebraic:
     if not is_squarefree(alpha.den):
         return LogDerivativeOfAlgebraic("no", reasons=(REASON_NOT_SQUAREFREE,))
     residue_poly = residue_resultant(alpha)
-    roots, leftover = rational_roots(residue_poly)
-    if not leftover.is_constant():
+    _, bound_factors = split_residues(alpha, residue_poly)
+    if bound_factors is None:
         return LogDerivativeOfAlgebraic("no", reasons=(REASON_IRRATIONAL_RESIDUES,))
-    residues = [r for r, _ in roots]
-    bound_factors = tuple(
-        (residue, gcd(alpha.den, alpha.num - residue * alpha.den.diff()))
-        for residue in residues)
     certificate = ResidueCertificate(residue_poly, Poly.zero("u"), bound_factors,
                                      True, None)
-    if all(r.denominator == 1 for r in residues):
+    if all(r.denominator == 1 for r, _ in bound_factors):
         gamma = RatFunc.const(alpha.var, 1)
         for residue, factor in bound_factors:
             gamma = gamma * RatFunc(factor) ** int(residue)

@@ -9,9 +9,11 @@ Grammar (whitespace-insensitive)::
     base   := integer | variable | '(' expr ')'
 
 ``^`` binds a single factor, takes a non-negative integer literal exponent and
-is non-associative: ``a^b^c`` is a syntax error.  Rational constants are
-written with ``/`` ("3/2" is exact integer division).  Exactly one variable is
-allowed per expression; the consuming subcommand declares it.
+is non-associative: ``a^b^c`` is a syntax error.  Parentheses and unary minus
+nest at most :data:`MAX_NESTING` deep (deeper input is a :class:`ParseError`);
+sums and products may be of any length.  Rational constants are written with
+``/`` ("3/2" is exact integer division).  Exactly one variable is allowed per
+expression; the consuming subcommand declares it.
 
 :func:`render` is the inverse printer: its output re-parses to the same
 canonical value, byte for byte.
@@ -20,9 +22,11 @@ canonical value, byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import Poly, RatFunc
+
+# Parentheses plus unary minus signs open at any point of an expression.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -119,6 +123,7 @@ class _TreeParser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -127,6 +132,15 @@ class _TreeParser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def nested(self, tok: Token, parse):
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels",
+                             tok.offset)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def expr(self) -> Node:
         node = self.term()
@@ -147,7 +161,7 @@ class _TreeParser:
     def unary(self) -> Node:
         if self.peek().kind == "minus":
             tok = self.advance()
-            return Negate(self.unary(), tok.offset)
+            return Negate(self.nested(tok, self.unary), tok.offset)
         return self.factor()
 
     def factor(self) -> Node:
@@ -175,7 +189,7 @@ class _TreeParser:
             return Variable(tok.lexeme, tok.offset)
         if tok.kind == "lparen":
             self.advance()
-            node = self.expr()
+            node = self.nested(tok, self.expr)
             closing = self.peek()
             if closing.kind != "rparen":
                 raise ParseError("expected ')'", closing.offset)
@@ -197,7 +211,35 @@ def parse_tree(tokens: list[Token]) -> Node:
 # -- evaluation into canonical values -------------------------------------
 
 
+def _fold_chain(node: BinaryOp, evaluate, combine):
+    """Evaluate a left-leaning chain ``a op b op c ...`` in a loop, so that a
+    long sum or product needs no recursion; operands go to ``evaluate``."""
+    spine = []
+    while isinstance(node, BinaryOp):
+        spine.append(node)
+        node = node.left
+    value = evaluate(node)
+    for op_node in reversed(spine):
+        value = combine(op_node, value, evaluate(op_node.right))
+    return value
+
+
+def _combine_single(node: BinaryOp, left: RatFunc, right: RatFunc) -> RatFunc:
+    if node.op == "add":
+        return left + right
+    if node.op == "sub":
+        return left - right
+    if node.op == "mul":
+        return left * right
+    if right.is_zero():
+        raise ParseError("division by an expression that is identically zero",
+                         node.offset)
+    return left / right
+
+
 def _eval_single(node: Node, variable: str) -> RatFunc:
+    if isinstance(node, BinaryOp):
+        return _fold_chain(node, lambda n: _eval_single(n, variable), _combine_single)
     if isinstance(node, Number):
         return RatFunc.const(variable, node.value)
     if isinstance(node, Variable):
@@ -207,19 +249,7 @@ def _eval_single(node: Node, variable: str) -> RatFunc:
         return RatFunc.gen(variable)
     if isinstance(node, Negate):
         return -_eval_single(node.operand, variable)
-    if isinstance(node, Power):
-        return _eval_single(node.base, variable) ** node.exponent
-    if node.op == "add":
-        return _eval_single(node.left, variable) + _eval_single(node.right, variable)
-    if node.op == "sub":
-        return _eval_single(node.left, variable) - _eval_single(node.right, variable)
-    if node.op == "mul":
-        return _eval_single(node.left, variable) * _eval_single(node.right, variable)
-    divisor = _eval_single(node.right, variable)
-    if divisor.is_zero():
-        raise ParseError("division by an expression that is identically zero",
-                         node.offset)
-    return _eval_single(node.left, variable) / divisor
+    return _eval_single(node.base, variable) ** node.exponent
 
 
 def parse(tokens: list[Token], variable: str) -> RatFunc:
@@ -272,6 +302,9 @@ def _bi_add(a: list[RatFunc], b: list[RatFunc], negate: bool) -> list[RatFunc]:
 
 
 def _eval_bivar(node: Node, main: str, coeff: str) -> list[RatFunc]:
+    if isinstance(node, BinaryOp):
+        return _fold_chain(node, lambda n: _eval_bivar(n, main, coeff),
+                           lambda *args: _combine_bivar(*args, main, coeff))
     if isinstance(node, Number):
         return _bi_trim([RatFunc.const(coeff, node.value)])
     if isinstance(node, Variable):
@@ -283,14 +316,15 @@ def _eval_bivar(node: Node, main: str, coeff: str) -> list[RatFunc]:
                          f"(expected {main!r} or {coeff!r})", node.offset)
     if isinstance(node, Negate):
         return [-c for c in _eval_bivar(node.operand, main, coeff)]
-    if isinstance(node, Power):
-        base = _eval_bivar(node.base, main, coeff)
-        result: list[RatFunc] = [RatFunc.const(coeff, 1)]
-        for _ in range(node.exponent):
-            result = _bi_mul(result, base, coeff)
-        return result
-    left = _eval_bivar(node.left, main, coeff)
-    right = _eval_bivar(node.right, main, coeff)
+    base = _eval_bivar(node.base, main, coeff)
+    result: list[RatFunc] = [RatFunc.const(coeff, 1)]
+    for _ in range(node.exponent):
+        result = _bi_mul(result, base, coeff)
+    return result
+
+
+def _combine_bivar(node: BinaryOp, left: list[RatFunc], right: list[RatFunc],
+                   main: str, coeff: str) -> list[RatFunc]:
     if node.op == "add":
         return _bi_add(left, right, negate=False)
     if node.op == "sub":
@@ -315,10 +349,6 @@ def parse_poly_over_coeff_field(text: str, main: str, coeff: str) -> list[RatFun
 # -- rendering ------------------------------------------------------------
 
 
-def _render_fraction(value: Fraction) -> str:
-    return str(value)
-
-
 def render_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
@@ -329,10 +359,10 @@ def render_poly(p: Poly) -> str:
             continue
         mag = abs(c)
         if k == 0:
-            body = _render_fraction(mag)
+            body = str(mag)
         else:
             power = p.var if k == 1 else f"{p.var}^{k}"
-            body = power if mag == 1 else f"{_render_fraction(mag)}*{power}"
+            body = power if mag == 1 else f"{str(mag)}*{power}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:

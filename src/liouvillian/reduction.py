@@ -5,14 +5,17 @@ Everything a first-order decision procedure needs to know about ``f(y)``:
 * Hermite reduction writes ``f = poly + g' + h`` with ``h`` proper over a
   squarefree denominator; ``f`` has a rational antiderivative iff ``h = 0``
   (the polynomial part always integrates in characteristic zero).
-* The residue resultant of a proper ``h`` with squarefree denominator is a
-  polynomial in ``t`` whose roots over the algebraic closure are exactly the
-  residues of ``h`` at its poles.  Residues are never represented as floating
-  or algebraic numbers, only through this defining polynomial.
-* The ratio resultant turns the residue polynomial ``S(t)`` into ``W(u) =
-  res_t(S(t), S(u*t))`` whose roots are all pairwise residue ratios, so
-  "some constant rescales every residue to an integer" becomes "every root of
-  ``W`` is rational" — decidable by divisor enumeration.
+* The residue polynomial ``S(t)`` of a proper ``h`` with squarefree
+  denominator has exactly the residues of ``h`` at its poles as roots.
+  Residues are never represented as floating or algebraic numbers, only
+  through this defining polynomial.
+* The ratio polynomial ``W(u) = res_t(S(t), S(u*t))`` has all pairwise
+  residue ratios as roots, so "some constant rescales every residue to an
+  integer" becomes "every root of ``W`` is rational", decidable by divisor
+  enumeration.
+* Both come from power sums of their roots through Newton's identities, no
+  determinant is formed (Bostan, Flajolet, Salvy and Schost, "Fast
+  computation of special resultants", J. Symbolic Comput. 41, 2006).
 """
 
 from __future__ import annotations
@@ -20,10 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd
+from operator import floordiv, truediv
 
 from .algebra import (InternalInconsistencyError, Poly, RatFunc,
                       ResourceLimitError, gcd, is_squarefree, normalized_part,
-                      rational_roots, resultant, squarefree_decompose)
+                      primitive_part, rational_roots, squarefree_decompose)
 
 # W(u) has degree (deg S)^2; refuse inputs that would blow past desk scale.
 _MAX_RESIDUE_DEGREE = 64
@@ -52,7 +56,8 @@ def _ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
 def _inverse_mod(a: Poly, modulus: Poly) -> Poly:
     g, s, _ = _ext_gcd(a, modulus)
     if not g.is_constant() or g.is_zero():
-        raise InternalInconsistencyError("expected invertible element in Hermite step")
+        raise InternalInconsistencyError(
+            "expected an element invertible modulo the denominator")
     inv = s * (1 / g.constant_value())
     return inv.divrem(modulus)[1]
 
@@ -114,12 +119,38 @@ def rational_antiderivative(f: RatFunc) -> RatFunc | None:
     return RatFunc(anti) + parts.exact_part
 
 
+def _power_sums(monic: list, count: int) -> list:
+    """Power sums p_1..p_count of the roots of a monic polynomial given by
+    its coefficients, lowest first (Newton's recurrence)."""
+    n = len(monic) - 1
+    sums: list = []
+    for k in range(1, count + 1):
+        total = k * monic[n - k] if k <= n else 0
+        for i in range(1, min(k - 1, n) + 1):
+            total += monic[n - i] * sums[k - i - 1]
+        sums.append(-total)
+    return sums
+
+
+def _monic_from_power_sums(sums: list, divide) -> list:
+    """Coefficients, lowest first, of the monic polynomial whose roots have
+    the power sums p_1, p_2, ... (Newton's identities, solved the other way);
+    ``divide(total, k)`` must be exact."""
+    high_first = [1]
+    for k in range(1, len(sums) + 1):
+        total = sum(high_first[k - i] * sums[i - 1] for i in range(1, k + 1))
+        high_first.append(divide(-total, k))
+    return high_first[::-1]
+
+
 def residue_resultant(h: RatFunc) -> Poly:
     """Polynomial in ``t`` (primitive, squarefree, positive leading
-    coefficient) whose roots are the residues of ``h`` at its poles.
-
-    Computed as res_y(num - t*den', den); requires ``h`` proper, nonzero,
+    coefficient) whose roots are the residues of ``h`` at its poles: the
+    normalized res_y(num - t*den', den).  Requires ``h`` proper, nonzero,
     with squarefree denominator.
+
+    The residue at a root y0 of den is g(y0) for g = num/den' mod den, so
+    the k-th power sum of the residues is the trace of g^k mod den.
     """
     if h.is_zero():
         raise ValueError("residue resultant of zero is undefined")
@@ -128,16 +159,25 @@ def residue_resultant(h: RatFunc) -> Poly:
     den = h.den
     if not is_squarefree(den):
         raise ValueError("residue resultant needs a squarefree denominator")
-    dden = den.diff()
-    width = max(len(h.num.coeffs), len(dden.coeffs))
-    mixed = Poly(h.var, [Poly(RESIDUE_VAR, (h.num.coeff(k), -dden.coeff(k)))
-                         for k in range(width)])
-    raw = resultant(mixed, den)
-    result = normalized_part(raw)
+    degree = den.degree()
+    g = (h.num * _inverse_mod(den.diff(), den)).divrem(den)[1]
+    traces = [degree, *_power_sums(list(den.coeffs), degree - 1)]   # Tr(y^j)
+    sums = []
+    power = Poly.const(h.var, 1)
+    for _ in range(degree):
+        power = (power * g).divrem(den)[1]
+        sums.append(sum(c * trace for c, trace in zip(power.coeffs, traces)))
+    result = normalized_part(Poly(RESIDUE_VAR, _monic_from_power_sums(sums, truediv)))
     if result(Fraction(0)) == 0:
         raise InternalInconsistencyError(
             "residue resultant vanished at t = 0 on a coprime input")
     return result
+
+
+def _integral_monic(ints: list[int]) -> list[int]:
+    """The monic integer polynomial whose roots are lead * (roots of ints)."""
+    lead, degree = ints[-1], len(ints) - 1
+    return [c * lead ** (degree - 1 - j) for j, c in enumerate(ints[:-1])] + [1]
 
 
 def ratio_resultant(s: Poly) -> Poly:
@@ -145,6 +185,11 @@ def ratio_resultant(s: Poly) -> Poly:
 
     Requires S squarefree with S(0) != 0 and positive degree; u = 1 is always
     a root and W(0) != 0.
+
+    With roots b_i of S and c = s_0*s_d from its primitive integer form, the
+    c*b_j/b_i are algebraic integers whose k-th power sum is that of the
+    s_d*b_j times that of the s_0/b_i.  The Sylvester determinant is
+    ((-1)^d * S(0) * lc(S))^d times the monic W.
     """
     if s.is_zero() or s.is_constant():
         raise ValueError("ratio resultant needs a non-constant polynomial")
@@ -155,10 +200,18 @@ def ratio_resultant(s: Poly) -> Poly:
         raise ResourceLimitError(
             f"residue polynomial degree {degree} exceeds the supported bound "
             f"{_MAX_RESIDUE_DEGREE}")
-    fixed = Poly(RESIDUE_VAR, [Poly(RATIO_VAR, (c,)) for c in s.coeffs])
-    scaled = Poly(RESIDUE_VAR, [Poly(RATIO_VAR, [0] * k + [s.coeff(k)])
-                                for k in range(degree + 1)])
-    return resultant(fixed, scaled)
+    ints = [int(c) for c in primitive_part(s).coeffs]
+    count = degree * degree
+    forward = _power_sums(_integral_monic(ints), count)
+    backward = _power_sums(_integral_monic(ints[::-1]), count)
+    # the roots c*b_j/b_i are algebraic integers: floor division is exact
+    scaled = _monic_from_power_sums([a * b for a, b in zip(forward, backward)],
+                                    floordiv)
+    # monic W(u) = c^-count * scaled(c*u)
+    c = ints[0] * ints[-1]
+    scale = ((-1) ** degree * s.coeff(0) * s.leading()) ** degree
+    return Poly(RATIO_VAR, [scale * Fraction(m, c ** (count - j))
+                            for j, m in enumerate(scaled)])
 
 
 def commensurable(s: Poly) -> tuple[bool, tuple[Fraction, ...]]:
@@ -178,29 +231,35 @@ def _fraction_gcd(values: list[Fraction]) -> Fraction:
     return Fraction(num, den)
 
 
-def scaled_log_witness(h: RatFunc) -> tuple[Fraction, RatFunc]:
-    """For proper h with squarefree denominator and all-rational residues:
-    the least positive rational a and the z with z'/(a*z) = h exactly.
+def split_residues(h: RatFunc, residue_poly: Poly) -> tuple[
+        tuple[Fraction, ...], tuple[tuple[Fraction, Poly], ...] | None]:
+    """The rational residues of ``h``, read off its residue polynomial, and,
+    when they are all of its residues, each paired with its bound factor
+    gcd(den, num - r*den'): the monic product of the denominator factors at
+    whose poles ``h`` has residue r."""
+    roots, leftover = rational_roots(residue_poly)
+    residues = tuple(r for r, _ in roots)
+    if not leftover.is_constant():
+        return residues, None
+    return residues, tuple((r, gcd(h.den, h.num - r * h.den.diff()))
+                           for r in residues)
+
+
+def scaled_log_witness(h: RatFunc, bound_factors: tuple[tuple[Fraction, Poly], ...]
+                       ) -> tuple[Fraction, RatFunc]:
+    """For proper h with squarefree denominator and all-rational residues,
+    given with their bound factors by :func:`split_residues`: the least
+    positive rational a and the z with z'/(a*z) = h exactly.
 
     a is 1 / gcd(residues); z is the product of the residue-bound denominator
     factors raised to the integer powers a*residue.  The identity is rechecked
     before returning; failure would be a bug, never a property of the input.
     """
-    s = residue_resultant(h)
-    roots, leftover = rational_roots(s)
-    if not leftover.is_constant():
-        raise ValueError("residues are not all rational")
-    residues = [r for r, _ in roots]
-    scale = 1 / _fraction_gcd(residues)
-    pieces: list[tuple[Poly, int]] = []
-    expanded_degree = 0
-    for residue in residues:
-        bound = gcd(h.den, h.num - residue * h.den.diff())
-        exponent = scale * residue
-        if exponent.denominator != 1:
-            raise InternalInconsistencyError("scaling constant failed to clear residues")
-        pieces.append((bound, int(exponent)))
-        expanded_degree += abs(int(exponent)) * bound.degree()
+    scale = 1 / _fraction_gcd([r for r, _ in bound_factors])
+    pieces = [(bound, scale * residue) for residue, bound in bound_factors]
+    if any(exponent.denominator != 1 for _, exponent in pieces):
+        raise InternalInconsistencyError("scaling constant failed to clear residues")
+    expanded_degree = sum(abs(exponent) * bound.degree() for bound, exponent in pieces)
     if expanded_degree > _MAX_WITNESS_DEGREE:
         raise ResourceLimitError(
             f"explicit logarithmic witness would have degree {expanded_degree} "
@@ -211,9 +270,9 @@ def scaled_log_witness(h: RatFunc) -> tuple[Fraction, RatFunc]:
     den = Poly.const(h.var, 1)
     for bound, exponent in pieces:
         if exponent >= 0:
-            num = num * bound**exponent
+            num = num * bound**int(exponent)
         else:
-            den = den * bound**(-exponent)
+            den = den * bound**int(-exponent)
     z = RatFunc(num, den)
     if z.diff() != scale * z * h:
         raise InternalInconsistencyError("logarithmic-derivative witness failed recheck")
@@ -275,17 +334,14 @@ def log_derivative_up_to_constant(f: RatFunc) -> LogDerivativeVerdict:
         certificate = ResidueCertificate(residue_poly, ratio_poly, (), False, None)
         return LogDerivativeVerdict(kind="no", reasons=(REASON_INCOMMENSURABLE,),
                                     certificate=certificate)
-    residue_values, residue_rest = rational_roots(residue_poly)
-    if residue_rest.is_constant():
-        scale, witness = scaled_log_witness(f)
-        bound_factors = tuple(
-            (residue, gcd(f.den, f.num - residue * f.den.diff()))
-            for residue, _ in residue_values)
+    residues, bound_factors = split_residues(f, residue_poly)
+    if bound_factors is not None:
+        scale, witness = scaled_log_witness(f, bound_factors)
         certificate = ResidueCertificate(residue_poly, ratio_poly, bound_factors,
                                          True, scale)
         return LogDerivativeVerdict(kind="witness", scale=scale, witness=witness,
                                     certificate=certificate)
-    if residue_values:
+    if residues:
         raise InternalInconsistencyError(
             "commensurable residues split partially over Q")
     certificate = ResidueCertificate(residue_poly, ratio_poly, (), True, None)

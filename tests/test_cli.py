@@ -154,6 +154,17 @@ class TestExitCodes:
         assert code == 3
         assert "internal" in json.loads(payload)["error"]
 
+    def test_unexpected_exception_is_three(self, monkeypatch):
+        def boom(rhs):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(cli, "decide_autonomous", boom)
+        code, payload, _ = run_cli(["autonomous", "y^2", "--json"])
+        assert code == 3
+        (report,) = validate_lines(payload)
+        assert report["status"] == "error"
+        assert report["error"] == "internal error: RuntimeError: unexpected"
+
 
 class TestBatch:
     def test_mixed_file(self, tmp_path):
@@ -171,6 +182,33 @@ class TestBatch:
         assert [r["status"] for r in reports] == [
             "liouvillian", "not_liouvillian", "error", "liouvillian"]
         assert code == 1  # one malformed line
+
+    def test_too_deep_line_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "batch.txt"
+        path.write_text("y^2\n" + "(" * 3000 + "y" + ")" * 3000 + "\ny\n")
+        code, payload, _ = run_cli(["autonomous", "--input", str(path), "--json"])
+        reports = validate_lines(payload)
+        assert [r["status"] for r in reports] == ["liouvillian", "error", "liouvillian"]
+        assert "nested deeper" in reports[1]["error"]
+        assert "offset 100" in reports[1]["error"]
+        assert code == 1
+
+    def test_internal_error_keeps_the_batch_going(self, tmp_path, monkeypatch):
+        real = cli.decide_autonomous
+
+        def flaky(rhs):
+            if rhs == pe("y^3", "y"):
+                raise RuntimeError("unexpected")
+            return real(rhs)
+
+        monkeypatch.setattr(cli, "decide_autonomous", flaky)
+        path = tmp_path / "batch.txt"
+        path.write_text("y^2\ny^3\ny\n")
+        code, payload, _ = run_cli(["autonomous", "--input", str(path), "--json"])
+        reports = validate_lines(payload)
+        assert [r["status"] for r in reports] == ["liouvillian", "error", "liouvillian"]
+        assert "RuntimeError" in reports[1]["error"]
+        assert code == 3
 
     def test_clean_file_exits_zero(self, tmp_path):
         path = tmp_path / "batch.txt"

@@ -12,14 +12,17 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from liouvillian.algebra import (Poly, gcd, rational_roots, resultant,
+from liouvillian.algebra import (Poly, RatFunc, gcd, is_squarefree,
+                                 rational_roots, resultant,
                                  squarefree_decompose)
-from liouvillian.reduction import hermite_reduce, rational_antiderivative
+from liouvillian.reduction import (hermite_reduce, rational_antiderivative,
+                                   ratio_resultant, residue_resultant)
 
 from helpers import rand_poly, rand_ratfunc
 
 Y = sympy.Symbol("y")
 T = sympy.Symbol("t")
+U = sympy.Symbol("u")
 
 
 def to_sympy(p: Poly, symbol=Y):
@@ -65,22 +68,30 @@ class TestAgainstSympy:
             assert ours == from_coeff(sympy.Rational(theirs))
 
     def test_bivariate_resultant(self):
+        # S(t) against sympy's res_y(num - t*den', den), normalized; W(u)
+        # against sympy's res_t(S(t), S(u*t)) exactly, Sylvester scale included
         rng = random.Random(419)
-        for _ in range(60):
+        checked = 0
+        while checked < 60:
             den = rand_poly(rng, "y", max_deg=3, nonzero=True)
             num = rand_poly(rng, "y", max_deg=2, nonzero=True)
             if den.is_constant():
                 continue
-            dden = den.diff()
-            width = max(len(num.coeffs), len(dden.coeffs))
-            mixed = Poly("y", [Poly("t", (num.coeff(k), -dden.coeff(k)))
-                               for k in range(width)])
-            ours = to_sympy(resultant(mixed, den), T)
-            num_s = to_sympy(num).as_expr()
-            dden_s = to_sympy(dden).as_expr()
-            theirs = sympy.Poly(sympy.resultant(num_s - T * dden_s,
-                                                to_sympy(den).as_expr(), Y), T)
-            assert ours.as_expr().equals(theirs.as_expr())
+            h = RatFunc(num, den)
+            if not h.is_proper() or not is_squarefree(h.den):
+                continue
+            s = residue_resultant(h)
+            raw = sympy.Poly(sympy.resultant(
+                to_sympy(h.num).as_expr() - T * to_sympy(h.den.diff()).as_expr(),
+                to_sympy(h.den).as_expr(), Y), T)
+            theirs = sympy.Poly(sympy.sqf_part(raw), T).primitive()[1]
+            if theirs.LC() < 0:
+                theirs = -theirs
+            assert to_sympy(s, T).as_expr().equals(theirs.as_expr())
+            s_t = to_sympy(s, T).as_expr()
+            w = sympy.Poly(sympy.resultant(s_t, s_t.subs(T, U * T), T), U)
+            assert to_sympy(ratio_resultant(s), U) == sympy.Poly(w, U, domain="QQ")
+            checked += 1
 
     def test_squarefree_decomposition(self):
         rng = random.Random(421)

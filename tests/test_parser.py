@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from liouvillian.algebra import Poly, RatFunc
-from liouvillian.parser import (ParseError, parse, parse_expression,
+from liouvillian.parser import (MAX_NESTING, ParseError, parse, parse_expression,
                                 parse_poly_over_coeff_field, parse_polynomial,
                                 render, render_poly, tokenize)
 
@@ -97,6 +97,25 @@ class TestParse:
         assert parse_expression("(((y)))", "y") == RatFunc(Y)
         assert parse_expression("--y", "y") == RatFunc(Y)
         assert parse_expression("-(-y + 1)", "y") == RatFunc(Y - 1)
+
+    def test_nesting_cap(self):
+        at_cap = "(" * MAX_NESTING + "y" + ")" * MAX_NESTING
+        assert parse_expression(at_cap, "y") == RatFunc(Y)
+        with pytest.raises(ParseError, match="nested deeper") as info:
+            parse_expression("(" + at_cap + ")", "y")
+        assert info.value.offset == MAX_NESTING
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_expression("-" * (MAX_NESTING + 1) + "y", "y")
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_poly_over_coeff_field("(" * 3000 + "y" + ")" * 3000, "y", "x")
+
+    def test_long_chains_need_no_nesting(self):
+        # each chain is longer than Python's default recursion limit
+        assert parse_expression("+".join(["y"] * 1500), "y") == RatFunc(1500 * Y)
+        assert parse_expression("/".join(["y"] + ["2"] * 1500), "y") == \
+            RatFunc(Y * Fraction(1, 2**1500))
+        coeffs = parse_poly_over_coeff_field("-".join(["x*y"] * 1500), "y", "x")
+        assert coeffs[1] == RatFunc.const("x", -1498) * RatFunc.gen("x")
 
     def test_zero_exponent(self):
         assert parse_expression("y^0", "y") == RatFunc.const("y", 1)

@@ -7,12 +7,14 @@ from fractions import Fraction
 import pytest
 
 from liouvillian.algebra import (Poly, RatFunc, ResourceLimitError,
-                                 is_squarefree, rational_roots)
+                                 is_squarefree, normalized_part, rational_roots,
+                                 resultant)
 from liouvillian.parser import parse_expression as pe
 from liouvillian.reduction import (commensurable, hermite_reduce,
                                    log_derivative_up_to_constant,
                                    ratio_resultant, rational_antiderivative,
-                                   residue_resultant, scaled_log_witness)
+                                   residue_resultant, scaled_log_witness,
+                                   split_residues)
 
 from helpers import (brute_residues, fraction_from_residues, rand_fraction,
                      rand_poly, rand_ratfunc, split_proper_fraction)
@@ -165,6 +167,67 @@ class TestRatioResultant:
             assert {r for r, _ in roots} == expected
 
 
+def _interpolate(var, points, values):
+    """The polynomial of degree < len(points) through the given values
+    (Lagrange's formula)."""
+    total = Poly.zero(var)
+    for i, (xi, yi) in enumerate(zip(points, values)):
+        basis = Poly.const(var, yi)
+        for j, xj in enumerate(points):
+            if j != i:
+                basis = basis * Poly(var, (-xj, 1)) * (1 / (xi - xj))
+        total = total + basis
+    return total
+
+
+def _differential_inputs():
+    """Random proper fractions with squarefree denominators, then
+    1/(y^d + 1), 1/(y^d + y + 1) and sum(1/(y - i)) for d <= 8: the 1/R of
+    the autonomous families R = y^d + 1, y^d + y + 1, 1/sum(1/(y - i))."""
+    rng = random.Random(71)
+    inputs = []
+    while len(inputs) < 30:
+        h = RatFunc(rand_poly(rng, "y", max_deg=3, nonzero=True),
+                    rand_poly(rng, "y", max_deg=4, nonzero=True))
+        if h.is_proper() and not h.den.is_constant() and is_squarefree(h.den):
+            inputs.append(pytest.param(h, id=f"random-{len(inputs)}"))
+    for d in range(2, 9):
+        poles = " + ".join(f"1/(y - {i})" for i in range(1, d + 1))
+        for text in (f"1/(y^{d} + 1)", f"1/(y^{d} + y + 1)", poles):
+            inputs.append(pytest.param(pe(text, "y"), id=text))
+    return inputs
+
+
+class TestAgainstSylvester:
+    """S and W, built from power sums, against the univariate Sylvester
+    resultant at sample points."""
+
+    @pytest.mark.parametrize("h", _differential_inputs())
+    def test_residue_and_ratio_polynomials(self, h):
+        s = residue_resultant(h)
+        # res_y(num - t*den', den) has degree deg den in t; its values at
+        # deg den + 1 points fix it, and its normalized part is S.  Points
+        # where the y-degree of num - t*den' drops would change the
+        # Sylvester layout, so they are skipped.
+        dden = h.den.diff()
+        points = []
+        k = 0
+        while len(points) <= h.den.degree():
+            k += 1
+            point = fr(k, 3)
+            if (h.num - point * dden).degree() == dden.degree():
+                points.append(point)
+        values = [resultant(h.num - point * dden, h.den).constant_value()
+                  for point in points]
+        assert normalized_part(_interpolate("t", points, values)) == s
+        w = ratio_resultant(s)
+        assert w.degree() == s.degree() ** 2
+        for k in range(1, w.degree() + 2):
+            point = fr(k, 2) if k % 2 else fr(-k, 3)
+            scaled = Poly("t", [c * point**j for j, c in enumerate(s.coeffs)])
+            assert resultant(s, scaled).constant_value() == w(point)
+
+
 class TestCommensurable:
     def test_examples(self):
         flag, ratios = commensurable(Poly("t", (1, 0, 4)))
@@ -175,25 +238,33 @@ class TestCommensurable:
         assert flag
 
 
+def _witness(h):
+    _, bound_factors = split_residues(h, residue_resultant(h))
+    return scaled_log_witness(h, bound_factors)
+
+
 class TestScaledLogWitness:
     def test_examples(self):
-        a, z = scaled_log_witness(pe("1/(y^2+y)", "y"))
+        a, z = _witness(pe("1/(y^2+y)", "y"))
         assert a == 1 and z == pe("y/(y+1)", "y")
-        a, z = scaled_log_witness(pe("1/y", "y"))
+        a, z = _witness(pe("1/y", "y"))
         assert a == 1 and z == pe("y", "y")
-        a, z = scaled_log_witness(pe("3/(2*y)", "y"))
+        a, z = _witness(pe("3/(2*y)", "y"))
         assert a == fr(2, 3) and z == pe("y", "y")
 
     def test_irrational_residues_rejected(self):
-        # residues of y/(y^2+y-1) are (5 +- sqrt(5))/10
-        with pytest.raises(ValueError, match="rational"):
-            scaled_log_witness(pe("y/(y^2+y-1)", "y"))
+        # residues of y/(y^2+y-1) are (5 +- sqrt(5))/10: no bound factors
+        h = pe("y/(y^2+y-1)", "y")
+        assert split_residues(h, residue_resultant(h)) == ((), None)
+        # residues 1 and +-sqrt(2)/4: only the rational one is reported
+        h = pe("1/y + 1/(y^2-2)", "y")
+        assert split_residues(h, residue_resultant(h)) == ((fr(1),), None)
 
     def test_soundness_randomized(self):
         rng = random.Random(53)
         for _ in range(200):
             h, _ = fraction_from_residues(rng, "y", rng.randint(1, 3))
-            a, z = scaled_log_witness(h)
+            a, z = _witness(h)
             assert a > 0
             assert z.diff() == a * z * h
 
@@ -201,7 +272,7 @@ class TestScaledLogWitness:
         rng = random.Random(55)
         for _ in range(100):
             h, by_pole = fraction_from_residues(rng, "y", rng.randint(1, 3))
-            a, _ = scaled_log_witness(h)
+            a, _ = _witness(h)
             residues = set(by_pole.values())
             assert all((a * r).denominator == 1 for r in residues)
             # nothing smaller works: a/k for k>=2 fails for some residue
@@ -214,7 +285,7 @@ class TestScaledLogWitness:
         h = (RatFunc(Poly.const("y", fr(1, 997)), Poly("y", (0, 1)))
              + RatFunc(Poly.const("y", fr(1, 991)), Poly("y", (-1, 1))))
         with pytest.raises(ResourceLimitError, match="witness"):
-            scaled_log_witness(h)
+            _witness(h)
 
 
 class TestLogDerivativeVerdict:
