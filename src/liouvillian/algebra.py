@@ -14,7 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import count
 from math import gcd as _int_gcd
+from math import lcm as _int_lcm
 from typing import Sequence
 
 Rat = Fraction
@@ -227,28 +230,64 @@ def content_and_primitive(p: Poly) -> tuple[Fraction, Poly]:
     positive leading coefficient on the primitive part."""
     if p.is_zero():
         return Fraction(0), p
-    den_lcm = 1
-    for c in p.coeffs:
-        den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = _int_gcd(g, abs(v))
-    if ints[-1] < 0:
-        g = -g
-    content = Fraction(g, den_lcm)
-    return content, Poly(p.var, [Fraction(v // g) for v in ints])
+    content, ints = _integer_form(p)
+    return content, Poly(p.var, ints)
 
 
 def primitive_part(p: Poly) -> Poly:
     return content_and_primitive(p)[1]
 
 
-# -- gcd via the subresultant polynomial remainder sequence -------------
+def _integer_form(p: Poly) -> tuple[Fraction, list[int]]:
+    """Content and primitive integer coefficients of a nonzero p, read off
+    the numerators and denominators without Fraction arithmetic."""
+    coeffs = p.coeffs
+    den = _int_lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    common = _int_gcd(*ints)
+    if ints[-1] < 0:
+        common = -common
+    if common != 1:
+        ints = [v // common for v in ints]
+    return Fraction(common, den), ints
 
 
 def _int_clear(p: Poly) -> list[int]:
-    return [int(c) for c in content_and_primitive(p)[1].coeffs]
+    return _integer_form(p)[1]
+
+
+# -- gcd by Brown's modular method (JACM 18, 1971) -----------------------
+# p not dividing gcd(lc a, lc b) gives deg gcd(a mod p, b mod p) >= deg gcd(a, b):
+# a constant image proves coprimality; a least-degree lift dividing a, b is the gcd.
+
+# Miller-Rabin with these bases is deterministic below 3.3 * 10^24.
+_WITNESS_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for base in _WITNESS_BASES:
+        x = pow(base, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@cache
+def _prime(index: int) -> int:
+    """The index-th prime below 2^62, counting down; found on first use."""
+    n = _prime(index - 1) - 2 if index else 2**62 - 1
+    while not _is_prime(n):
+        n -= 2
+    return n
 
 
 def _int_trim(cs: list[int]) -> list[int]:
@@ -257,29 +296,49 @@ def _int_trim(cs: list[int]) -> list[int]:
     return cs
 
 
-def _int_prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b, over Z."""
-    db = len(b) - 1
-    lb = b[-1]
-    r = list(a)
-    e = len(a) - len(b) + 1
-    while r and len(r) - 1 >= db:
-        k = len(r) - 1 - db
-        lr = r[-1]
-        r = [lb * c for c in r]
-        for i, c in enumerate(b):
-            r[i + k] -= lr * c
-        _int_trim(r)
-        e -= 1
-    if e > 0:
-        scale = lb**e
-        r = [scale * c for c in r]
-    return r
+def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd of the images mod p of two primitive integer polynomials."""
+    a = _int_trim([c % p for c in a])
+    b = _int_trim([c % p for c in b])
+    if len(a) < len(b):
+        a, b = b, a
+    while True:
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        n = len(b) - 1
+        if n == 0:
+            return b
+        low = b[:n]
+        for k in range(len(a) - 1 - n, -1, -1):
+            q = a[k + n]
+            if q:
+                a[k:k + n] = [(x - q * y) % p for x, y in zip(a[k:k + n], low)]
+        del a[n:]
+        if not _int_trim(a):
+            return b
+        a, b = b, a
+
+
+def _int_divides(d: list[int], f: list[int]) -> bool:
+    """Whether d divides f in Z[y], by division with an integer quotient."""
+    r = list(f)
+    n, lead = len(d) - 1, d[-1]
+    for k in range(len(r) - 1 - n, -1, -1):
+        q, m = divmod(r[k + n], lead)
+        if m:
+            return False
+        if q:
+            r[k:k + n] = [x - q * y for x, y in zip(r[k:k + n], d)]
+    return not any(r[:n])
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor, computed with the subresultant PRS on
-    the primitive integer forms to keep intermediate coefficients small."""
+    """Monic greatest common divisor, from its images modulo the primes below
+    2^62 that do not divide gamma = gcd(lc a, lc b), combined by CRT.
+
+    Each image has degree >= deg gcd, so a constant image proves coprimality,
+    and a lift of least image degree is returned once it divides a and b.
+    """
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
     var = a._join_var(b)
@@ -287,23 +346,41 @@ def gcd(a: Poly, b: Poly) -> Poly:
         return Poly(var, b.coeffs).monic()
     if b.is_zero():
         return Poly(var, a.coeffs).monic()
+    if a.is_constant() or b.is_constant():
+        return Poly.const(var, 1)
     fa, fb = _int_clear(a), _int_clear(b)
-    if len(fa) < len(fb):
-        fa, fb = fb, fa
-    g, h = 1, 1
-    while True:
-        delta = len(fa) - len(fb)
-        rem = _int_prem(fa, fb)
-        if not rem:
-            break
-        if len(rem) == 1:
+    gamma = _int_gcd(fa[-1], fb[-1])
+    # images of gamma/lc(g) * g, the gcd g scaled to leading coefficient gamma
+    lifted: list[int] = []
+    modulus = 1
+    for index in count():
+        p = _prime(index)
+        if gamma % p == 0:
+            continue
+        image = _gcd_mod(fa, fb, p)
+        if len(image) == 1:
             return Poly.const(var, 1)
-        divisor = g * h**delta
-        fa, fb = fb, [c // divisor for c in rem]
-        g = fa[-1]
-        h = h if delta == 0 else (g**delta) // (h ** (delta - 1))
-    result = Poly(var, fb)
-    return primitive_part(result).monic()
+        if lifted and len(image) > len(lifted):
+            continue  # p is unlucky
+        image = [c * gamma % p for c in image]
+        if not lifted or len(image) < len(lifted):
+            # every earlier prime was unlucky
+            lifted, modulus = [c - p if 2 * c > p else c for c in image], p
+            continue
+        if all((c - r) % p == 0 for c, r in zip(lifted, image)):
+            # the lift is stable under p: test it
+            common = _int_gcd(*lifted)
+            candidate = [c // common for c in lifted]
+            if candidate[-1] < 0:
+                candidate = [-c for c in candidate]
+            if _int_divides(candidate, fa) and _int_divides(candidate, fb):
+                lead = candidate[-1]
+                return Poly(var, [Fraction(c, lead) for c in candidate])
+        inverse = pow(modulus, -1, p)
+        step, modulus = modulus, modulus * p
+        half = modulus // 2
+        lifted = [c + step * ((r - c) * inverse % p) for c, r in zip(lifted, image)]
+        lifted = [c - modulus if c > half else c for c in lifted]
 
 
 def squarefree_decompose(p: Poly) -> list[tuple[Poly, int]]:

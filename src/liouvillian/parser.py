@@ -9,11 +9,13 @@ Grammar (whitespace-insensitive)::
     base   := integer | variable | '(' expr ')'
 
 ``^`` binds a single factor, takes a non-negative integer literal exponent and
-is non-associative: ``a^b^c`` is a syntax error.  Parentheses and unary minus
-nest at most :data:`MAX_NESTING` deep (deeper input is a :class:`ParseError`);
-sums and products may be of any length.  Rational constants are written with
-``/`` ("3/2" is exact integer division).  Exactly one variable is allowed per
-expression; the consuming subcommand declares it.
+is non-associative: ``a^b^c`` is a syntax error.  An exponent above
+:data:`MAX_EXPONENT` is a :class:`ResourceLimitError`, raised before any power
+is formed.  Parentheses and unary minus nest at most :data:`MAX_NESTING` deep
+(deeper input is a :class:`ParseError`); sums and products may be of any
+length.  Rational constants are written with ``/`` ("3/2" is exact integer
+division).  Exactly one variable is allowed per expression; the consuming
+subcommand declares it.
 
 :func:`render` is the inverse printer: its output re-parses to the same
 canonical value, byte for byte.
@@ -23,10 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Poly, RatFunc
+from .algebra import Poly, RatFunc, ResourceLimitError
 
 # Parentheses plus unary minus signs open at any point of an expression.
 MAX_NESTING = 100
+# Largest exponent literal.  The cost of a power grows with its exponent:
+# y^1000 parses and decides in about 0.2 s, y^8000 in 2.5 s.
+MAX_EXPONENT = 1000
 
 
 class ParseError(ValueError):
@@ -176,7 +181,12 @@ class _TreeParser:
             if self.peek().kind == "caret":
                 raise ParseError("'^' is non-associative; parenthesize nested powers",
                                  self.peek().offset)
-            node = Power(node, int(exp_tok.lexeme), tok.offset)
+            digits = exp_tok.lexeme.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise ResourceLimitError(
+                    f"exponent literal {exp_tok.lexeme} at offset {exp_tok.offset} "
+                    f"exceeds the bound MAX_EXPONENT = {MAX_EXPONENT} (stage: parse)")
+            node = Power(node, int(digits), tok.offset)
         return node
 
     def base(self) -> Node:

@@ -214,14 +214,6 @@ def ratio_resultant(s: Poly) -> Poly:
                             for j, m in enumerate(scaled)])
 
 
-def commensurable(s: Poly) -> tuple[bool, tuple[Fraction, ...]]:
-    """Whether every pairwise ratio of the roots of ``s`` is rational,
-    i.e. a single constant scales all of them into the integers."""
-    ratios = ratio_resultant(s)
-    roots, leftover = rational_roots(ratios)
-    return leftover.is_constant(), tuple(r for r, _ in roots)
-
-
 def _fraction_gcd(values: list[Fraction]) -> Fraction:
     num = 0
     den = 1

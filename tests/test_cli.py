@@ -8,8 +8,9 @@ import jsonschema
 import pytest
 
 from liouvillian import cli
+from liouvillian.algebra import Poly, RatFunc
 from liouvillian.decision import AutonomousVerdict
-from liouvillian.parser import parse_expression as pe
+from liouvillian.parser import MAX_EXPONENT, parse_expression as pe
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMA = json.loads(
@@ -112,6 +113,22 @@ class TestExitCodes:
         assert run_cli(["square", "0"])[0] == 2
         assert run_cli(["abel", "--coeffs", "1/x"])[0] == 2
         assert run_cli(["degbound", "0"])[0] == 2
+
+    @pytest.mark.parametrize("procedure", ["autonomous", "square", "degbound"])
+    def test_exponent_over_the_bound_is_two(self, procedure, monkeypatch):
+        def no_power(*args):
+            raise AssertionError("a power was formed")
+
+        monkeypatch.setattr(RatFunc, "__pow__", no_power)
+        monkeypatch.setattr(Poly, "__pow__", no_power)
+        literal = MAX_EXPONENT + 1
+        code, payload, _ = run_cli([procedure, f"y^{literal} + 1", "--json"])
+        assert code == 2
+        (report,) = validate_lines(payload)
+        assert report["status"] == "error"
+        assert report["error"] == (
+            f"resource limit: exponent literal {literal} at offset 2 exceeds "
+            f"the bound MAX_EXPONENT = {MAX_EXPONENT} (stage: parse)")
 
     def test_missing_argument_is_one(self):
         code, _, err = run_cli(["autonomous"])

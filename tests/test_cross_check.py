@@ -12,7 +12,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from liouvillian.algebra import (Poly, RatFunc, gcd, is_squarefree,
+from liouvillian.algebra import (Poly, RatFunc, _prime, gcd, is_squarefree,
                                  rational_roots, resultant,
                                  squarefree_decompose)
 from liouvillian.reduction import (hermite_reduce, rational_antiderivative,
@@ -35,6 +35,18 @@ def from_coeff(value) -> Fraction:
     return Fraction(int(value.p), int(value.q))
 
 
+def sympy_gcd(a: Poly, b: Poly):
+    return to_sympy(a).gcd(to_sympy(b)).monic().set_domain("QQ")
+
+
+def wide_poly(rng: random.Random, degree: int, bits: int = 230) -> Poly:
+    """Random polynomial of exactly this degree with coefficients of about
+    ``bits`` bits over small and large denominators."""
+    coeffs = [Fraction(rng.randint(-2**bits, 2**bits), rng.choice((1, 3, 2**40)))
+              for _ in range(degree)]
+    return Poly("y", coeffs + [rng.randint(1, 2**bits)])
+
+
 class TestAgainstSympy:
     def test_gcd(self):
         rng = random.Random(401)
@@ -44,9 +56,56 @@ class TestAgainstSympy:
             if rng.random() < 0.5:
                 shared = rand_poly(rng, "y", max_deg=2, nonzero=True)
                 a, b = a * shared, b * shared
-            ours = to_sympy(gcd(a, b))
-            theirs = to_sympy(a).gcd(to_sympy(b)).monic().set_domain("QQ")
-            assert ours == theirs
+            assert to_sympy(gcd(a, b)) == sympy_gcd(a, b)
+
+    def test_gcd_of_large_inputs_with_a_shared_power(self):
+        rng = random.Random(439)
+        shared = Poly("y", (2, 5))
+        for _ in range(10):
+            k = rng.randint(1, 23)
+            da = rng.randint(20, 72)
+            db = rng.randint(max(k, 20), da)
+            a = shared**k * wide_poly(rng, da - k)
+            b = shared**k * wide_poly(rng, db - k)
+            ours = gcd(a, b)
+            assert ours.degree() >= k
+            assert to_sympy(ours) == sympy_gcd(a, b)
+
+    def test_gcd_at_the_primes_of_the_modular_method(self):
+        p0, p1 = _prime(0), _prime(1)
+        y = Poly.gen("y")
+        shared = Poly("y", (1, p0))
+        cases = [
+            # p0 divides both leading coefficients, so it must be skipped
+            (shared * Poly("y", (3, 0, p0)), shared * Poly("y", (-5, p0))),
+            # p0 divides one leading coefficient: its image drops a degree
+            ((y + 7) * Poly("y", (1, 0, p0)), (y + 7) * (y - 3)),
+            # the images mod p0 share the spurious factor y
+            (y + p0, y),
+            ((y + p0) * (y - 1), y * (y - 1)),
+            # an unlucky prime after a lucky one
+            ((y + p1) * (y - 1), y * (y - 1)),
+            # a spurious cube mod p0 beside a true factor
+            ((y + p0) ** 3 * (5 * y + 2), y ** 3 * (5 * y + 2) ** 2),
+            # images mod p0 and p1 agree on y: only trial division rejects it
+            ((y + p0 * p1) * (y - 1), y * (y - 1)),
+        ]
+        for a, b in cases:
+            assert to_sympy(gcd(a, b)) == sympy_gcd(a, b)
+            assert to_sympy(gcd(b, a)) == sympy_gcd(a, b)
+        assert gcd(y + p0, y) == Poly.const("y", 1)
+
+    def test_gcd_is_monic_divides_and_leaves_coprime_cofactors(self):
+        rng = random.Random(443)
+        for _ in range(60):
+            shared = wide_poly(rng, rng.randint(0, 4), rng.choice((2, 70)))
+            a = shared * wide_poly(rng, rng.randint(0, 6), rng.choice((2, 70, 200)))
+            b = shared * wide_poly(rng, rng.randint(0, 6), rng.choice((2, 70, 200)))
+            g = gcd(a, b)
+            assert g.leading() == 1
+            cofactor_a, cofactor_b = a.exact_div(g), b.exact_div(g)
+            if not (cofactor_a.is_constant() or cofactor_b.is_constant()):
+                assert resultant(cofactor_a, cofactor_b).constant_value() != 0
 
     def test_univariate_resultant(self):
         # sympy swaps its arguments without the (-1)^(m*n) factor when the

@@ -73,6 +73,11 @@ class TestAutonomous:
                 assert report.passed
         assert seen["antiderivative"] > 5 and seen["log_derivative"] > 5
 
+    def test_high_powers_decide(self):
+        # a degree-60 numerator over a 25-fold pole: large gcds on every step
+        v = decide_autonomous(pe("(y^2+1)^30/(y-1/7)^25", "y"))
+        assert v.status == "not_liouvillian"
+
     def test_constant_scaling_invariance(self):
         rng = random.Random(107)
         for _ in range(150):

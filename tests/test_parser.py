@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from liouvillian.algebra import Poly, RatFunc
-from liouvillian.parser import (MAX_NESTING, ParseError, parse, parse_expression,
+from liouvillian.algebra import Poly, RatFunc, ResourceLimitError
+from liouvillian.parser import (MAX_EXPONENT, MAX_NESTING, ParseError, parse,
+                                parse_expression, parse_tree,
                                 parse_poly_over_coeff_field, parse_polynomial,
                                 render, render_poly, tokenize)
 
@@ -120,6 +121,15 @@ class TestParse:
     def test_zero_exponent(self):
         assert parse_expression("y^0", "y") == RatFunc.const("y", 1)
         assert parse_expression("y^50", "y") == RatFunc(Y**50)
+
+    def test_exponent_cap(self):
+        assert parse_tree(tokenize(f"y^{MAX_EXPONENT}")).exponent == MAX_EXPONENT
+        assert parse_expression("y^0003", "y") == RatFunc(Y**3)
+        for literal in (str(MAX_EXPONENT + 1), "9" * 5000):
+            with pytest.raises(ResourceLimitError, match=f"exponent literal {literal} "):
+                parse_tree(tokenize(f"(y+1)^{literal}"))
+        with pytest.raises(ResourceLimitError, match="stage: parse"):
+            parse_poly_over_coeff_field(f"x*y^{MAX_EXPONENT + 1}", "y", "x")
 
     def test_empty_input(self):
         with pytest.raises(ParseError, match="end of input"):

@@ -10,7 +10,7 @@ from liouvillian.algebra import (Poly, RatFunc, ResourceLimitError,
                                  is_squarefree, normalized_part, rational_roots,
                                  resultant)
 from liouvillian.parser import parse_expression as pe
-from liouvillian.reduction import (commensurable, hermite_reduce,
+from liouvillian.reduction import (hermite_reduce,
                                    log_derivative_up_to_constant,
                                    ratio_resultant, rational_antiderivative,
                                    residue_resultant, scaled_log_witness,
@@ -230,12 +230,13 @@ class TestAgainstSylvester:
 
 class TestCommensurable:
     def test_examples(self):
-        flag, ratios = commensurable(Poly("t", (1, 0, 4)))
-        assert flag and set(ratios) == {fr(1), fr(-1)}
-        flag, _ = commensurable(Poly("t", (-1, -1, 1)))
-        assert not flag
-        flag, _ = commensurable(Poly("t", (2, -3, 1)))
-        assert flag
+        # the roots of S are commensurable iff the ratio polynomial splits
+        roots, leftover = rational_roots(ratio_resultant(Poly("t", (1, 0, 4))))
+        assert leftover.is_constant() and {r for r, _ in roots} == {fr(1), fr(-1)}
+        _, leftover = rational_roots(ratio_resultant(Poly("t", (-1, -1, 1))))
+        assert not leftover.is_constant()
+        _, leftover = rational_roots(ratio_resultant(Poly("t", (2, -3, 1))))
+        assert leftover.is_constant()
 
 
 def _witness(h):
