@@ -6,15 +6,14 @@ a_1*y`` admit non-constant liouvillian solutions, and emits machine-checkable
 witnesses or impossibility certificates.
 """
 
-from .algebra import (InternalInconsistencyError, Poly, Rat, RatFunc,
+from .algebra import (InternalInconsistencyError, Poly, RatFunc,
                       ResourceLimitError)
 from .decision import (decide_abel, decide_autonomous, decide_square,
                        degree_bound_check, log_derivative_of_algebraic)
 from .parser import ParseError, parse_expression, parse_polynomial, render
 from .reduction import (hermite_reduce, log_derivative_up_to_constant,
                         rational_antiderivative)
-from .verify import (check_leibniz, verify_autonomous_witness,
-                     verify_square_witness)
+from .verify import verify_autonomous_witness, verify_square_witness
 
 __version__ = "0.1.0"
 
@@ -22,10 +21,8 @@ __all__ = [
     "InternalInconsistencyError",
     "ParseError",
     "Poly",
-    "Rat",
     "RatFunc",
     "ResourceLimitError",
-    "check_leibniz",
     "decide_abel",
     "decide_autonomous",
     "decide_square",

@@ -20,8 +20,6 @@ from math import gcd as _int_gcd
 from math import lcm as _int_lcm
 from typing import Sequence
 
-Rat = Fraction
-
 # Guards for divisor enumeration in rational_roots: fail loudly instead of
 # silently truncating the candidate set.
 _TRIAL_DIVISION_BOUND = 10**6

@@ -9,14 +9,15 @@ One subcommand per decision procedure::
     liouvillian antider    "<f(x)>"        rational antiderivative over Q(x)
     liouvillian logderiv   "<f(x)>"        gamma'/gamma = f for algebraic gamma
 
-Flags: ``--json`` (one JSON object per input line), ``--verify`` (re-check any
-emitted witness and report the exact residual), ``--input FILE`` (batch mode,
+Flags: ``--json`` (one JSON object per input line), ``--verify`` (report the
+one check that :mod:`liouvillian.verify` makes of every emitted witness, with
+its exact residual), ``--input FILE`` (batch mode,
 '#' comments and blank lines skipped), ``--witness/--no-witness`` (witness
 rendering, on by default).
 
 Exit codes: 0 verdicts produced; 1 parse or usage error; 2 precondition
 violation (zero right-hand side, malformed coefficient list, resource limit);
-3 internal inconsistency (an emitted witness failed verification, or any
+3 internal inconsistency (an emitted witness failed its check, or any
 other unexpected exception — a bug, reported loudly on its own line while a
 batch goes on).
 """
@@ -39,7 +40,8 @@ from .parser import (ParseError, parse_expression, parse_poly_over_coeff_field,
 from .reduction import ResidueCertificate, rational_antiderivative
 from .towers import TowerWitness
 from .verify import (VerificationReport, render_quad_value,
-                     verify_autonomous_witness, verify_square_witness)
+                     verify_antiderivative, verify_autonomous_witness,
+                     verify_log_derivative, verify_square_witness)
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -106,15 +108,21 @@ def _base_report(equation: str, procedure: str, status: str) -> dict:
             "verification": None, "error": None}
 
 
-def _checked(report: dict, human: list[str], check: VerificationReport) -> Outcome:
-    """Attach a verification result; a failed check is an internal error."""
-    report["verification"] = {"identity": check.identity, "passed": check.passed,
-                              "residual": check.residual}
-    human.append(f"verified:  {'pass' if check.passed else 'FAIL'}")
+def _checked(report: dict, human: list[str], check: VerificationReport,
+             want_verify: bool) -> Outcome:
+    """The one check of a line's witness; a failure is an internal error.
+    ``--verify`` puts the check's record in the report."""
+    if want_verify:
+        report["verification"] = {"identity": check.identity,
+                                  "passed": check.passed, "residual": check.residual}
+        human.append(f"verified:  {'pass' if check.passed else 'FAIL'}")
+    elif not check.passed:
+        raise InternalInconsistencyError(f"witness failed verification: "
+                                         f"{check.identity} (residual {check.residual})")
     return Outcome(report, EXIT_OK if check.passed else EXIT_INTERNAL, human)
 
 
-def _autonomous_outcome(text: str, verdict: AutonomousVerdict,
+def _autonomous_outcome(text: str, rhs: RatFunc, verdict: AutonomousVerdict,
                         want_witness: bool, want_verify: bool) -> Outcome:
     report = _base_report(text, "autonomous", verdict.status)
     report["branch"] = verdict.branch
@@ -138,11 +146,9 @@ def _autonomous_outcome(text: str, verdict: AutonomousVerdict,
     report["certificate"] = _certificate_json(verdict.certificate)
     if verdict.certificate is not None:
         human.append(f"residues:  roots of {render_poly(verdict.certificate.residue_poly)}")
-    if want_verify and verdict.witness is not None:
-        check = verify_autonomous_witness(parse_expression(text, "y"),
-                                          verdict.branch, verdict.witness,
-                                          verdict.scale)
-        return _checked(report, human, check)
+    if verdict.witness is not None:
+        return _checked(report, human, verify_autonomous_witness(
+            rhs, verdict.branch, verdict.witness, verdict.scale), want_verify)
     return Outcome(report, EXIT_OK, human)
 
 
@@ -165,9 +171,9 @@ def _square_outcome(text: str, poly: Poly, verdict: SquareVerdict,
             human.append(f"           generator {gen.name}: {rate}")
         if verdict.witness.quad_ext:
             human.append(f"           extension: {symbol}^2 = {verdict.witness.quad_ext.square}")
-    if want_verify and verdict.witness is not None:
-        check = verify_square_witness(poly, verdict.witness)
-        return _checked(report, human, check)
+    if verdict.witness is not None:
+        return _checked(report, human, verify_square_witness(poly, verdict.witness),
+                        want_verify)
     return Outcome(report, EXIT_OK, human)
 
 
@@ -218,11 +224,8 @@ def _antider_outcome(text: str, f: RatFunc, want_witness: bool,
         human.append(f"status:    {status} (already solvable inside Q(x))")
         if want_witness:
             human.append(f"witness:   z = {render(anti)} with dz/dx = f")
-        if want_verify:
-            residual = anti.diff() - f
-            check = VerificationReport(f"d/dx[{render(anti)}] = {text}",
-                                       residual.is_zero(), render(residual))
-            return _checked(report, human, check)
+        return _checked(report, human, verify_antiderivative(f, anti, text),
+                        want_verify)
     else:
         report["reason"] = "no rational antiderivative (nonzero Hermite remainder)"
         human.append("status:    no antiderivative within Q(x); no liouvillian claim made")
@@ -246,12 +249,8 @@ def _logderiv_outcome(text: str, f: RatFunc, want_witness: bool,
         if want_witness:
             report["witness"] = {"z": render(verdict.gamma), "scale": "1",
                                  "relation": "dz/dx = f * z"}
-        if want_verify:
-            residual = verdict.gamma.diff() - f * verdict.gamma
-            check = VerificationReport(
-                f"d/dx[{render(verdict.gamma)}] = ({text}) * {render(verdict.gamma)}",
-                residual.is_zero(), render(residual))
-            return _checked(report, human, check)
+        return _checked(report, human,
+                        verify_log_derivative(f, verdict.gamma, text), want_verify)
     elif verdict.kind == "algebraic":
         report["reason"] = "gamma exists but only algebraic over Q(x)"
         human.append("status:    some algebraic gamma satisfies gamma'/gamma = f, "
@@ -271,7 +270,7 @@ def _process_line(procedure: str, text: str, args: argparse.Namespace) -> Outcom
     try:
         if procedure == "autonomous":
             rhs = parse_expression(text, "y")
-            return _autonomous_outcome(text, decide_autonomous(rhs),
+            return _autonomous_outcome(text, rhs, decide_autonomous(rhs),
                                        want_witness, want_verify)
         if procedure == "square":
             poly = parse_polynomial(text, "y")

@@ -14,9 +14,9 @@
 * :func:`degree_bound_check` — solutions living in iterated antiderivative
   towers force the right-hand side degree down to 2.
 
-Each "liouvillian" verdict carrying a witness is re-verified through the
-independent verification module before it is returned; a failure there raises
-:class:`InternalInconsistencyError` rather than shipping an unsound claim.
+The procedures construct witnesses without checking them; whoever emits one
+checks it once through the independent :mod:`liouvillian.verify`, as the CLI
+does.  The gamma that :func:`decide_abel` scales by is checked there.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .reduction import (REASON_NOT_SQUAREFREE, ResidueCertificate,
 from .towers import (ANTIDERIVATIVE, Generator, QuadExtension, QuadValue,
                      TowerWitness, antiderivative_witness, exponential_witness)
 from .verify import (is_rational_square, rational_square_root,
-                     verify_autonomous_witness, verify_square_witness)
+                     verify_log_derivative)
 
 LIOUVILLIAN = "liouvillian"
 NOT_LIOUVILLIAN = "not_liouvillian"
@@ -68,25 +68,17 @@ def decide_autonomous(rhs: RatFunc) -> AutonomousVerdict:
     Tries the exact-derivative branch first (witness z with z' = 1 along
     solutions), then the scaled-logarithmic branch (z' = a*z).  The two
     branches are mutually exclusive on canonical inputs: an exact derivative
-    that is proper always has a repeated-root denominator.
+    that is proper always has a repeated-root denominator.  The witness is
+    unchecked: see :func:`~liouvillian.verify.verify_autonomous_witness`.
     """
     if rhs.is_zero():
         raise ValueError("right-hand side must be a nonzero rational function")
     flipped = rhs.inverse()
     anti = rational_antiderivative(flipped)
     if anti is not None:
-        report = verify_autonomous_witness(rhs, BRANCH_ANTIDERIVATIVE, anti)
-        if not report.passed:
-            raise InternalInconsistencyError(
-                f"antiderivative witness failed verification: {report.identity}")
         return AutonomousVerdict(LIOUVILLIAN, BRANCH_ANTIDERIVATIVE, witness=anti)
     log_verdict = log_derivative_up_to_constant(flipped)
     if log_verdict.kind == "witness":
-        report = verify_autonomous_witness(rhs, BRANCH_LOG_DERIVATIVE,
-                                           log_verdict.witness, log_verdict.scale)
-        if not report.passed:
-            raise InternalInconsistencyError(
-                f"logarithmic witness failed verification: {report.identity}")
         return AutonomousVerdict(LIOUVILLIAN, BRANCH_LOG_DERIVATIVE,
                                  witness=log_verdict.witness,
                                  scale=log_verdict.scale,
@@ -112,15 +104,6 @@ class SquareVerdict:
     status: str
     reason: str
     witness: TowerWitness | None = None
-
-
-def _checked_square_witness(p: Poly, witness: TowerWitness) -> TowerWitness:
-    report = verify_square_witness(p, witness)
-    if not report.passed:
-        raise InternalInconsistencyError(
-            f"squared-equation witness failed verification: {report.identity} "
-            f"(residual {report.residual})")
-    return witness
 
 
 def _square_witness_constant(p: Poly) -> TowerWitness:
@@ -165,7 +148,8 @@ def decide_square(p: Poly) -> SquareVerdict:
 
     Squarefree P of degree >= 3: no non-constant liouvillian solution.
     Degree <= 2 (distinct roots in the quadratic case): explicitly
-    liouvillian, with a verified one-generator tower witness.  Repeated
+    liouvillian, with a one-generator tower witness (unchecked: see
+    :func:`~liouvillian.verify.verify_square_witness`).  Repeated
     roots in degree >= 2 fall outside the criterion and are reported
     inapplicable rather than guessed.
     """
@@ -184,8 +168,7 @@ def decide_square(p: Poly) -> SquareVerdict:
         witness = _square_witness_linear(p)
     else:
         witness = _square_witness_quadratic(p)
-    return SquareVerdict(LIOUVILLIAN, REASON_CONSTRUCTION,
-                         _checked_square_witness(p, witness))
+    return SquareVerdict(LIOUVILLIAN, REASON_CONSTRUCTION, witness)
 
 
 # -- degree bound for iterated antiderivative towers -----------------------
@@ -265,8 +248,6 @@ def log_derivative_of_algebraic(alpha: RatFunc) -> LogDerivativeOfAlgebraic:
         gamma = RatFunc.const(alpha.var, 1)
         for residue, factor in bound_factors:
             gamma = gamma * RatFunc(factor) ** int(residue)
-        if gamma.diff() != alpha * gamma:
-            raise InternalInconsistencyError("gamma construction failed recheck")
         return LogDerivativeOfAlgebraic("rational", gamma=gamma,
                                         certificate=certificate)
     return LogDerivativeOfAlgebraic("algebraic", certificate=certificate)
@@ -325,6 +306,9 @@ def decide_abel(coeffs: Sequence[RatFunc]) -> AbelVerdict:
         scaling = log_derivative_of_algebraic(linear)
         if scaling.kind == "rational":
             gamma = scaling.gamma
+            check = verify_log_derivative(linear, gamma)
+            if not check.passed:
+                raise InternalInconsistencyError(f"scaling gamma failed: {check.identity}")
             hypotheses.append((HYP_SCALING, "pass"))
             work = [work[i] * gamma**i for i in range(len(work))]
             work[0] = RatFunc.zero(linear.var)

@@ -11,11 +11,12 @@ Grammar (whitespace-insensitive)::
 ``^`` binds a single factor, takes a non-negative integer literal exponent and
 is non-associative: ``a^b^c`` is a syntax error.  An exponent above
 :data:`MAX_EXPONENT` is a :class:`ResourceLimitError`, raised before any power
-is formed.  Parentheses and unary minus nest at most :data:`MAX_NESTING` deep
-(deeper input is a :class:`ParseError`); sums and products may be of any
-length.  Rational constants are written with ``/`` ("3/2" is exact integer
-division).  Exactly one variable is allowed per expression; the consuming
-subcommand declares it.
+is formed; so is an integer literal of more than :data:`MAX_LITERAL_DIGITS`
+significant digits, raised before it is converted.  Parentheses and unary
+minus nest at most :data:`MAX_NESTING` deep (deeper input is a
+:class:`ParseError`); sums and products may be of any length.  Rational
+constants are written with ``/`` ("3/2" is exact integer division).  Exactly
+one variable is allowed per expression; the consuming subcommand declares it.
 
 :func:`render` is the inverse printer: its output re-parses to the same
 canonical value, byte for byte.
@@ -32,6 +33,9 @@ MAX_NESTING = 100
 # Largest exponent literal.  The cost of a power grows with its exponent:
 # y^1000 parses and decides in about 0.2 s, y^8000 in 2.5 s.
 MAX_EXPONENT = 1000
+# Most significant digits in an integer literal: Python's own limit on
+# decimal string conversion, checked here so the error names the literal.
+MAX_LITERAL_DIGITS = 4300
 
 
 class ParseError(ValueError):
@@ -193,7 +197,13 @@ class _TreeParser:
         tok = self.peek()
         if tok.kind == "integer":
             self.advance()
-            return Number(int(tok.lexeme), tok.offset)
+            digits = tok.lexeme.lstrip("0") or "0"
+            if len(digits) > MAX_LITERAL_DIGITS:
+                raise ResourceLimitError(
+                    f"integer literal at offset {tok.offset} has {len(digits)} "
+                    f"digits, above the bound MAX_LITERAL_DIGITS = "
+                    f"{MAX_LITERAL_DIGITS} (stage: parse)")
+            return Number(int(digits), tok.offset)
         if tok.kind == "identifier":
             self.advance()
             return Variable(tok.lexeme, tok.offset)

@@ -181,11 +181,19 @@ def verify_square_witness(p: Poly, witness: TowerWitness) -> VerificationReport:
     return VerificationReport(identity, field.is_zero(residual), field.render(residual))
 
 
-def check_leibniz(f: RatFunc, g: RatFunc) -> VerificationReport:
-    """(f*g)' = f'*g + f*g', checked exactly."""
-    residual = (f * g).diff() - f.diff() * g - f * g.diff()
-    identity = f"d[{render(f)} * {render(g)}] = d[{render(f)}]*{render(g)} + {render(f)}*d[{render(g)}]"
-    return VerificationReport(identity, residual.is_zero(), render(residual))
+def verify_antiderivative(f: RatFunc, z: RatFunc, f_text: str = "") -> VerificationReport:
+    """Check z' = f; the identity names f by ``f_text`` (as typed) if given."""
+    residual = z.diff() - f
+    return VerificationReport(f"d/d{f.var}[{render(z)}] = {f_text or render(f)}",
+                              residual.is_zero(), render(residual))
+
+
+def verify_log_derivative(f: RatFunc, gamma: RatFunc, f_text: str = "") -> VerificationReport:
+    """Check gamma' = f*gamma, naming f as :func:`verify_antiderivative` does."""
+    residual = gamma.diff() - f * gamma
+    return VerificationReport(
+        f"d/d{f.var}[{render(gamma)}] = ({f_text or render(f)}) * {render(gamma)}",
+        residual.is_zero(), render(residual))
 
 
 def describe_generator(generator: Generator, witness: TowerWitness) -> str:

@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 
 from liouvillian.algebra import Poly, RatFunc, gcd
+from liouvillian.parser import render
+from liouvillian.verify import VerificationReport
 
 
 def rand_fraction(rng: random.Random, span: int = 9, max_den: int = 4,
@@ -115,3 +117,10 @@ def is_canonical(f: RatFunc) -> bool:
     if f.num.is_zero():
         return f.den.is_constant() and f.den.constant_value() == 1
     return f.den.leading() == 1 and gcd(f.num, f.den).is_constant()
+
+
+def check_leibniz(f: RatFunc, g: RatFunc) -> VerificationReport:
+    """(f*g)' = f'*g + f*g', checked exactly."""
+    residual = (f * g).diff() - f.diff() * g - f * g.diff()
+    identity = f"d[{render(f)} * {render(g)}] = d[{render(f)}]*{render(g)} + {render(f)}*d[{render(g)}]"
+    return VerificationReport(identity, residual.is_zero(), render(residual))

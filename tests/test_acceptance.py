@@ -22,10 +22,10 @@ from liouvillian.decision import (decide_abel, decide_autonomous,
 from liouvillian.parser import parse_expression as pe, parse_polynomial as pp
 from liouvillian.reduction import (hermite_reduce, ratio_resultant,
                                    residue_resultant)
-from liouvillian.verify import (check_leibniz, verify_autonomous_witness,
-                                verify_square_witness)
+from liouvillian.verify import verify_autonomous_witness, verify_square_witness
 
-from helpers import (brute_residues, fraction_from_residues, invert_variable,
+from helpers import (brute_residues, check_leibniz, fraction_from_residues,
+                     invert_variable,
                      rand_fraction, rand_poly, rand_ratfunc,
                      split_proper_fraction)
 

@@ -2,15 +2,17 @@
 
 import io
 import json
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from liouvillian import cli
+from liouvillian import cli, verify
 from liouvillian.algebra import Poly, RatFunc
 from liouvillian.decision import AutonomousVerdict
-from liouvillian.parser import MAX_EXPONENT, parse_expression as pe
+from liouvillian.parser import (MAX_EXPONENT, MAX_LITERAL_DIGITS,
+                                parse_expression as pe)
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMA = json.loads(
@@ -130,6 +132,26 @@ class TestExitCodes:
             f"resource limit: exponent literal {literal} at offset 2 exceeds "
             f"the bound MAX_EXPONENT = {MAX_EXPONENT} (stage: parse)")
 
+    def test_long_integer_literal_is_two(self):
+        code, payload, _ = run_cli(["autonomous", "y + " + "9" * 5000, "--json"])
+        assert code == 2
+        (report,) = validate_lines(payload)
+        assert report["status"] == "error"
+        assert report["error"] == (
+            f"resource limit: integer literal at offset 4 has 5000 digits, above "
+            f"the bound MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} (stage: parse)")
+
+    def test_failed_check_without_verify_is_three(self, monkeypatch):
+        failed = verify.VerificationReport("(y')^2 = 1 - y^2 with y = ...", False, "1")
+        monkeypatch.setattr(cli, "verify_square_witness", lambda p, w: failed)
+        code, payload, _ = run_cli(["square", "1 - y^2", "--json"])
+        assert code == 3
+        (report,) = validate_lines(payload)
+        assert report["status"] == "error"
+        assert report["error"] == (
+            "internal inconsistency: witness failed verification: "
+            "(y')^2 = 1 - y^2 with y = ... (residual 1)")
+
     def test_missing_argument_is_one(self):
         code, _, err = run_cli(["autonomous"])
         assert code == 1 and "required" in err
@@ -241,6 +263,51 @@ class TestBatch:
         assert code == 0
         statuses = [r["status"] for r in validate_lines(payload)]
         assert statuses == ["algebraic_only", "inconclusive"]
+
+
+CHECKS = ("verify_autonomous_witness", "verify_square_witness",
+          "verify_antiderivative", "verify_log_derivative")
+
+
+class TestSingleCheck:
+    """Every emitted witness is checked exactly once, with or without --verify."""
+
+    @pytest.mark.parametrize("want_verify", [False, True])
+    @pytest.mark.parametrize("procedure,lines,expected", [
+        # antiderivative branch, log branch, certificate only, not liouvillian
+        ("autonomous", ["y^2", "y^2+y", "y^2+1", "y^3+y^2"],
+         {"verify_autonomous_witness": 2}),
+        # constant, linear and quadratic witnesses; degree 3 has none
+        ("square", ["5", "2*y + 3", "1 - y^2", "y^3 + y + 1"],
+         {"verify_square_witness": 3}),
+        ("antider", ["1/x^2", "1/x"], {"verify_antiderivative": 1}),
+        # gamma in Q(x); gamma only algebraic; no gamma
+        ("logderiv", ["1/x", "1/(2*x)", "x"], {"verify_log_derivative": 1}),
+    ])
+    def test_one_check_per_witness_line(self, procedure, lines, expected,
+                                        want_verify, monkeypatch, tmp_path):
+        calls = dict.fromkeys(CHECKS, 0)
+        modules = [module for name, module in sys.modules.items()
+                   if name.startswith("liouvillian")]
+        for name in CHECKS:
+            original = getattr(verify, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        path = tmp_path / "batch.txt"
+        path.write_text("\n".join(lines) + "\n")
+        argv = [procedure, "--input", str(path), "--json"]
+        code, payload, _ = run_cli(argv + ["--verify"] if want_verify else argv)
+        assert code == 0
+        reports = validate_lines(payload)
+        assert calls == {**dict.fromkeys(CHECKS, 0), **expected}
+        recorded = [r["verification"] is not None for r in reports]
+        assert sum(recorded) == (sum(expected.values()) if want_verify else 0)
 
 
 class TestFlags:

@@ -5,14 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from liouvillian.algebra import Poly, RatFunc, is_squarefree
+from liouvillian import decision
+from liouvillian.algebra import (InternalInconsistencyError, Poly, RatFunc,
+                                 is_squarefree)
 from liouvillian.decision import (decide_abel, decide_autonomous, decide_square,
                                   degree_bound_check,
                                   log_derivative_of_algebraic)
 from liouvillian.parser import (parse_expression as pe,
                                 parse_polynomial as pp,
                                 parse_poly_over_coeff_field)
-from liouvillian.verify import verify_autonomous_witness, verify_square_witness
+from liouvillian.verify import (VerificationReport, verify_autonomous_witness,
+                                verify_square_witness)
 
 from helpers import invert_variable, rand_fraction, rand_poly, rand_ratfunc
 
@@ -257,6 +260,16 @@ class TestAbel:
         assert v.status == "algebraic_only"
         assert v.gamma == pe("x", "x")
         assert v.scaled_coeffs == (RatFunc.zero("x"), pe("1/x", "x"), pe("1/x", "x"))
+
+    def test_scaling_gamma_is_checked_once(self, monkeypatch):
+        coeffs = [pe("1/x", "x"), pe("1/x^2", "x"), pe("1/x^3", "x")]
+        seen = []
+        monkeypatch.setattr(decision, "verify_log_derivative",
+                            lambda f, gamma: seen.append((f, gamma)) or
+                            VerificationReport("gamma' = f*gamma", False, "1"))
+        with pytest.raises(InternalInconsistencyError, match="scaling gamma failed"):
+            decide_abel(coeffs)
+        assert seen == [(pe("1/x", "x"), pe("x", "x"))]
 
     def test_prescaled_family(self):
         v = decide_abel([RatFunc.zero("x"), pe("1/x", "x"), pe("1/x", "x")])

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from liouvillian.algebra import Poly, RatFunc, ResourceLimitError
-from liouvillian.parser import (MAX_EXPONENT, MAX_NESTING, ParseError, parse,
+from liouvillian.parser import (MAX_EXPONENT, MAX_LITERAL_DIGITS, MAX_NESTING,
+                                ParseError, parse,
                                 parse_expression, parse_tree,
                                 parse_poly_over_coeff_field, parse_polynomial,
                                 render, render_poly, tokenize)
@@ -130,6 +131,17 @@ class TestParse:
                 parse_tree(tokenize(f"(y+1)^{literal}"))
         with pytest.raises(ResourceLimitError, match="stage: parse"):
             parse_poly_over_coeff_field(f"x*y^{MAX_EXPONENT + 1}", "y", "x")
+
+    def test_literal_digit_cap(self):
+        widest = 10**MAX_LITERAL_DIGITS - 1
+        assert parse_expression("9" * MAX_LITERAL_DIGITS, "y") == RatFunc.const("y", widest)
+        # leading zeros are not significant
+        assert parse_expression("0" * 5000 + "7", "y") == RatFunc.const("y", 7)
+        with pytest.raises(ResourceLimitError,
+                           match=f"at offset 4 has {MAX_LITERAL_DIGITS + 1} digits"):
+            parse_expression("y - 0" + "1" * (MAX_LITERAL_DIGITS + 1), "y")
+        with pytest.raises(ResourceLimitError, match="stage: parse"):
+            parse_poly_over_coeff_field("x*y + " + "1" * 5000, "y", "x")
 
     def test_empty_input(self):
         with pytest.raises(ParseError, match="end of input"):

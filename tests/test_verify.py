@@ -10,12 +10,12 @@ from liouvillian.parser import parse_expression as pe, parse_polynomial as pp
 from liouvillian.towers import (ANTIDERIVATIVE, EXPONENTIAL, Generator,
                                 QuadExtension, QuadValue, TowerWitness,
                                 antiderivative_witness, exponential_witness)
-from liouvillian.verify import (MalformedWitnessError, check_leibniz,
-                                is_rational_square, rational_square_root,
+from liouvillian.verify import (MalformedWitnessError, is_rational_square,
+                                rational_square_root,
                                 verify_autonomous_witness,
                                 verify_square_witness)
 
-from helpers import rand_fraction, rand_ratfunc
+from helpers import check_leibniz, rand_fraction, rand_ratfunc
 
 
 def fr(n, d=1):
