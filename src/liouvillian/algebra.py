@@ -17,18 +17,13 @@ from fractions import Fraction
 from functools import cache
 from itertools import count
 from math import gcd as _int_gcd
+from math import isqrt
 from math import lcm as _int_lcm
 from typing import Sequence
 
-# Guards for divisor enumeration in rational_roots: fail loudly instead of
-# silently truncating the candidate set.
-_TRIAL_DIVISION_BOUND = 10**6
-_PRIMALITY_CERT_BOUND = 10**12
-_MAX_ROOT_CANDIDATES = 10**6
-
 
 class ResourceLimitError(RuntimeError):
-    """An exact computation exceeded its enumeration budget."""
+    """An input or an intermediate value exceeded a documented size bound."""
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -242,16 +237,21 @@ def _integer_form(p: Poly) -> tuple[Fraction, list[int]]:
     coeffs = p.coeffs
     den = _int_lcm(*(c.denominator for c in coeffs))
     ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    common = _int_gcd(*ints)
-    if ints[-1] < 0:
-        common = -common
-    if common != 1:
-        ints = [v // common for v in ints]
-    return Fraction(common, den), ints
+    prim = _primitive(ints)
+    return Fraction(ints[-1], den * prim[-1]), prim
 
 
 def _int_clear(p: Poly) -> list[int]:
     return _integer_form(p)[1]
+
+
+def _primitive(ints: list[int]) -> list[int]:
+    """Primitive part, with a positive leading coefficient, of a nonzero
+    integer polynomial."""
+    common = _int_gcd(*ints)
+    if ints[-1] < 0:
+        common = -common
+    return ints if common == 1 else [v // common for v in ints]
 
 
 # -- gcd by Brown's modular method (JACM 18, 1971) -----------------------
@@ -317,17 +317,19 @@ def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
         a, b = b, a
 
 
-def _int_divides(d: list[int], f: list[int]) -> bool:
-    """Whether d divides f in Z[y], by division with an integer quotient."""
+def _int_quotient(d: list[int], f: list[int]) -> list[int] | None:
+    """f / d in Z[y], or None when d does not divide f there."""
     r = list(f)
     n, lead = len(d) - 1, d[-1]
+    quo = [0] * max(len(r) - n, 0)
     for k in range(len(r) - 1 - n, -1, -1):
         q, m = divmod(r[k + n], lead)
         if m:
-            return False
+            return None
         if q:
+            quo[k] = q
             r[k:k + n] = [x - q * y for x, y in zip(r[k:k + n], d)]
-    return not any(r[:n])
+    return None if any(r[:n]) else quo
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
@@ -346,7 +348,13 @@ def gcd(a: Poly, b: Poly) -> Poly:
         return Poly(var, a.coeffs).monic()
     if a.is_constant() or b.is_constant():
         return Poly.const(var, 1)
-    fa, fb = _int_clear(a), _int_clear(b)
+    g = _int_poly_gcd(_int_clear(a), _int_clear(b))
+    return Poly(var, [Fraction(c, g[-1]) for c in g])
+
+
+def _int_poly_gcd(fa: list[int], fb: list[int]) -> list[int]:
+    """The primitive gcd, with a positive leading coefficient, of two
+    nonzero primitive integer polynomials; see :func:`gcd`."""
     gamma = _int_gcd(fa[-1], fb[-1])
     # images of gamma/lc(g) * g, the gcd g scaled to leading coefficient gamma
     lifted: list[int] = []
@@ -357,7 +365,7 @@ def gcd(a: Poly, b: Poly) -> Poly:
             continue
         image = _gcd_mod(fa, fb, p)
         if len(image) == 1:
-            return Poly.const(var, 1)
+            return [1]
         if lifted and len(image) > len(lifted):
             continue  # p is unlucky
         image = [c * gamma % p for c in image]
@@ -367,13 +375,10 @@ def gcd(a: Poly, b: Poly) -> Poly:
             continue
         if all((c - r) % p == 0 for c, r in zip(lifted, image)):
             # the lift is stable under p: test it
-            common = _int_gcd(*lifted)
-            candidate = [c // common for c in lifted]
-            if candidate[-1] < 0:
-                candidate = [-c for c in candidate]
-            if _int_divides(candidate, fa) and _int_divides(candidate, fb):
-                lead = candidate[-1]
-                return Poly(var, [Fraction(c, lead) for c in candidate])
+            candidate = _primitive(lifted)
+            if _int_quotient(candidate, fa) is not None and \
+                    _int_quotient(candidate, fb) is not None:
+                return candidate
         inverse = pow(modulus, -1, p)
         step, modulus = modulus, modulus * p
         half = modulus // 2
@@ -416,18 +421,18 @@ def is_squarefree(p: Poly) -> bool:
     return gcd(p, p.diff()).is_constant()
 
 
-def squarefree_part(p: Poly) -> Poly:
-    """Monic product of the distinct irreducible factors of p."""
-    if p.is_constant():
-        return Poly.const(p.var, 1)
-    return p.monic().exact_div(gcd(p, p.diff()))
-
-
 def normalized_part(p: Poly) -> Poly:
     """Primitive squarefree part with positive leading coefficient: the
     canonical representative used by every resultant consumer."""
-    sqf = squarefree_part(p)
-    return primitive_part(sqf)
+    if p.is_constant():
+        return Poly.const(p.var, 1)
+    return Poly(p.var, _squarefree_part(_int_clear(p)))
+
+
+def _squarefree_part(f: list[int]) -> list[int]:
+    """Primitive squarefree part of a nonconstant primitive integer
+    polynomial."""
+    return _int_quotient(_int_poly_gcd(f, _primitive(_derivative(f))), f)
 
 
 # -- resultants ----------------------------------------------------------
@@ -456,91 +461,81 @@ def resultant(a: Poly, b: Poly) -> Poly:
     return Poly.const(var, result * b.leading() ** m)
 
 
-# -- rational roots ------------------------------------------------------
+# -- rational roots by p-adic lifting (Loos, SIAM J. Comput. 12, 1983) ---
+# For a prime p not dividing lc(f) with f mod p squarefree, each rational root
+# r = num/den of f reduces to a simple root mod p, and Newton steps lift it to
+# r mod p^k.  As den | lc and num | f(0), lc*r is an integer of absolute value
+# at most |lc*f(0)|, read off as the symmetric residue of lc*r once
+# p^k > 2|lc*f(0)|.  Candidates are accepted only by exact division in Z[y].
 
 
-def _positive_divisors(n: int) -> list[int]:
-    """All positive divisors of ``n > 0``; aborts loudly when ``n`` cannot be
-    certified factored within the trial-division budget."""
-    factors: dict[int, int] = {}
-    m = n
-    d = 2
-    while d * d <= m and d <= _TRIAL_DIVISION_BOUND:
-        while m % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        if d * d <= m and m > _PRIMALITY_CERT_BOUND:
-            raise ResourceLimitError(
-                f"cannot enumerate divisors of {n}: cofactor too large to certify prime")
-        factors[m] = factors.get(m, 0) + 1
-    divs = [1]
-    for prime, mult in factors.items():
-        divs = [dv * prime**e for dv in divs for e in range(mult + 1)]
-        if len(divs) > _MAX_ROOT_CANDIDATES:
-            raise ResourceLimitError(f"too many divisors for {n}")
-    return divs
+def _eval_mod(f: list[int], x: int, m: int) -> int:
+    value = 0
+    for c in reversed(f):
+        value = (value * x + c) % m
+    return value
 
 
-def _extract_root(rest: Poly, root: Fraction,
-                  roots: list[tuple[Fraction, int]]) -> Poly:
-    mult = 0
-    while not rest.is_constant() and rest(root) == 0:
-        rest = rest.exact_div(Poly(rest.var, (-root, 1)))
-        mult += 1
-    if mult:
-        roots.append((root, mult))
-    return rest
+def _derivative(f: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(f)][1:]
+
+
+def _lucky_prime(f: list[int]) -> tuple[list[int], int]:
+    """The first prime p not dividing lc(h) with h mod p squarefree, where h
+    is f until one image of f is not squarefree, and from then on f's
+    primitive squarefree part."""
+    h = f
+    for p in count(2):
+        if h[-1] % p == 0 or not all(p % q for q in range(2, isqrt(p) + 1)):
+            continue
+        dh = [c % p for c in _derivative(h)]
+        if any(dh) and len(_gcd_mod(h, dh, p)) == 1:
+            return h, p
+        if h is f:
+            h = _squarefree_part(f)
 
 
 def rational_roots(p: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
-    """All rational roots with multiplicities, by divisor enumeration on the
-    primitive integer form, plus the rational-root-free cofactor.
+    """All rational roots with multiplicities, by p-adic lifting of the roots
+    of the primitive integer form modulo a small prime, plus the
+    rational-root-free cofactor.
 
-    Candidates are the classical p/q with p dividing the trailing and q the
-    leading coefficient; almost all are rejected by the integer screen
-    (q*k - p) | P(k) at k = 1 and k = -1 before any exact evaluation.  The
-    returned pairs and cofactor reconstruct ``p`` exactly:
+    The returned pairs and cofactor reconstruct ``p`` exactly:
     ``p == cofactor * prod((var - root) ** mult)``.
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has every root")
-    roots: list[tuple[Fraction, int]] = []
-    rest = p
-    low = 0
-    while low < len(rest.coeffs) and rest.coeffs[low] == 0:
-        low += 1
-    if low:
-        roots.append((Fraction(0), low))
-        rest = Poly(rest.var, rest.coeffs[low:])
-    # peel small integer roots first so the screen anchors P(1), P(-1) are
-    # nonzero (ratio polynomials always have the root 1, for instance)
-    for anchor in (1, -1, 2, -2, 3, -3):
-        rest = _extract_root(rest, Fraction(anchor), roots)
-    if rest.is_constant():
-        roots.sort()
-        return roots, rest
-    ints = _int_clear(rest)
-    at_one = sum(ints)
-    at_minus_one = sum(c if i % 2 == 0 else -c for i, c in enumerate(ints))
-    div_trail = _positive_divisors(abs(ints[0]))
-    div_lead = _positive_divisors(abs(ints[-1]))
-    if 2 * len(div_trail) * len(div_lead) > _MAX_ROOT_CANDIDATES:
-        raise ResourceLimitError("too many rational root candidates")
-    for den in div_lead:
-        for num in div_trail:
-            if _int_gcd(num, den) != 1:
-                continue  # the reduced form is enumerated separately
-            for signed in (num, -num):
-                if (den - signed == 0 or at_one % (den - signed) == 0) and \
-                        (den + signed == 0 or at_minus_one % (den + signed) == 0):
-                    rest = _extract_root(rest, Fraction(signed, den), roots)
-                    if rest.is_constant():
-                        roots.sort()
-                        return roots, rest
+    low = next(i for i, c in enumerate(p.coeffs) if c)
+    roots = [(Fraction(0), low)] if low else []
+    stripped = Poly(p.var, p.coeffs[low:])
+    if stripped.is_constant():
+        return roots, stripped
+    content, f = _integer_form(stripped)
+    h, prime = _lucky_prime(f)
+    dh = _derivative(h)
+    lead, bound = h[-1], 2 * abs(h[-1] * h[0])
+    rest = f
+    for r in range(prime):
+        if _eval_mod(h, r, prime):
+            continue
+        modulus = prime
+        while modulus <= bound:
+            modulus *= modulus
+            r = (r - _eval_mod(h, r, modulus)
+                 * pow(_eval_mod(dh, r, modulus), -1, modulus)) % modulus
+        v = lead * r % modulus
+        root = Fraction(v - modulus if 2 * v > modulus else v, lead)
+        num, den = root.numerator, root.denominator
+        if f[0] % num or f[-1] % den:
+            continue
+        mult = 0
+        while (quotient := _int_quotient([-num, den], rest)) is not None:
+            rest, mult = quotient, mult + 1
+        if mult:
+            roots.append((root, mult))
+            content *= den**mult
     roots.sort()
-    return roots, rest
+    return roots, Poly(p.var, [content * c for c in rest])
 
 
 # -- rational functions --------------------------------------------------

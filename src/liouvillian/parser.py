@@ -12,7 +12,10 @@ Grammar (whitespace-insensitive)::
 is non-associative: ``a^b^c`` is a syntax error.  An exponent above
 :data:`MAX_EXPONENT` is a :class:`ResourceLimitError`, raised before any power
 is formed; so is an integer literal of more than :data:`MAX_LITERAL_DIGITS`
-significant digits, raised before it is converted.  Parentheses and unary
+significant digits, raised before it is converted, and a subexpression whose
+value would pass :data:`MAX_DEGREE` or :data:`MAX_COEFFICIENT_DIGITS`, raised
+before any power of it is formed and after each sum, difference, product or
+quotient, so that no decision procedure sees it.  Parentheses and unary
 minus nest at most :data:`MAX_NESTING` deep (deeper input is a
 :class:`ParseError`); sums and products may be of any length.  Rational
 constants are written with ``/`` ("3/2" is exact integer division).  Exactly
@@ -25,17 +28,29 @@ canonical value, byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import ceil, lcm, log2
 
 from .algebra import Poly, RatFunc, ResourceLimitError
 
 # Parentheses plus unary minus signs open at any point of an expression.
 MAX_NESTING = 100
-# Largest exponent literal.  The cost of a power grows with its exponent:
-# y^1000 parses and decides in about 0.2 s, y^8000 in 2.5 s.
+# Largest exponent literal, checked while the tree is built; the degree and
+# coefficient bounds below then limit what a power may produce.
 MAX_EXPONENT = 1000
 # Most significant digits in an integer literal: Python's own limit on
 # decimal string conversion, checked here so the error names the literal.
 MAX_LITERAL_DIGITS = 4300
+# Largest degree of the numerator or the denominator of a parsed value.  On
+# a 2-core Intel Xeon with Python 3.11, (y^2+1)^32 decides in 0.8 s,
+# (y^2+1)^64 in 6.4 s and (y+1)^1000 in 31 s, mostly forming and reducing
+# the power.
+MAX_DEGREE = 64
+# Most decimal digits in a coefficient of a parsed value, its denominators
+# cleared: those of the widest literal, so that every parsed value renders.
+MAX_COEFFICIENT_DIGITS = MAX_LITERAL_DIGITS
+# The bit length of 10^MAX_COEFFICIENT_DIGITS: a coefficient of fewer bits is
+# within the bound, one of more bits is not.
+_COEFFICIENT_BITS = ceil(MAX_COEFFICIENT_DIGITS * log2(10))
 
 
 class ParseError(ValueError):
@@ -244,17 +259,42 @@ def _fold_chain(node: BinaryOp, evaluate, combine):
     return value
 
 
+def _check_size(f: RatFunc, offset: int, k: int = 1) -> None:
+    """Refuse f^k if it passes MAX_DEGREE or MAX_COEFFICIENT_DIGITS, judged
+    from f: f^k is num^k/den^k, of degree k*deg f, and its coefficients,
+    cleared by the k-th power of f's common denominator, have at most
+    k*bits + (k-1)*log2(deg f + 1) bits, bits those of f's cleared ones."""
+    coeffs = f.num.coeffs + f.den.coeffs
+    # lists, not generators: over many lines they leave a lower memory peak
+    common = lcm(*[c.denominator for c in coeffs])
+    widest = max([abs(c.numerator) * (common // c.denominator) for c in coeffs])
+    degree = max(len(f.num.coeffs), len(f.den.coeffs)) - 1
+    bits = k * widest.bit_length() + (k - 1) * degree.bit_length()
+    if k * degree > MAX_DEGREE:
+        limit = f"degree {k * degree}, above the bound MAX_DEGREE = {MAX_DEGREE}"
+    elif bits > _COEFFICIENT_BITS or bits == _COEFFICIENT_BITS and (
+            k > 1 or widest >= 10**MAX_COEFFICIENT_DIGITS):
+        limit = (f"coefficients of up to {bits} bits, more than the bound "
+                 f"MAX_COEFFICIENT_DIGITS = {MAX_COEFFICIENT_DIGITS} decimal digits")
+    else:
+        return
+    raise ResourceLimitError(f"subexpression at offset {offset} has {limit} (stage: parse)")
+
+
 def _combine_single(node: BinaryOp, left: RatFunc, right: RatFunc) -> RatFunc:
     if node.op == "add":
-        return left + right
-    if node.op == "sub":
-        return left - right
-    if node.op == "mul":
-        return left * right
-    if right.is_zero():
+        value = left + right
+    elif node.op == "sub":
+        value = left - right
+    elif node.op == "mul":
+        value = left * right
+    elif right.is_zero():
         raise ParseError("division by an expression that is identically zero",
                          node.offset)
-    return left / right
+    else:
+        value = left / right
+    _check_size(value, node.offset)
+    return value
 
 
 def _eval_single(node: Node, variable: str) -> RatFunc:
@@ -269,7 +309,9 @@ def _eval_single(node: Node, variable: str) -> RatFunc:
         return RatFunc.gen(variable)
     if isinstance(node, Negate):
         return -_eval_single(node.operand, variable)
-    return _eval_single(node.base, variable) ** node.exponent
+    base = _eval_single(node.base, variable)
+    _check_size(base, node.offset, node.exponent)
+    return base**node.exponent
 
 
 def parse(tokens: list[Token], variable: str) -> RatFunc:

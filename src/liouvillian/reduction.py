@@ -11,8 +11,8 @@ Everything a first-order decision procedure needs to know about ``f(y)``:
   through this defining polynomial.
 * The ratio polynomial ``W(u) = res_t(S(t), S(u*t))`` has all pairwise
   residue ratios as roots, so "some constant rescales every residue to an
-  integer" becomes "every root of ``W`` is rational", decidable by divisor
-  enumeration.
+  integer" becomes "every root of ``W`` is rational", decided by
+  :func:`~liouvillian.algebra.rational_roots`.
 * Both come from power sums of their roots through Newton's identities, no
   determinant is formed (Bostan, Flajolet, Salvy and Schost, "Fast
   computation of special resultants", J. Symbolic Comput. 41, 2006).

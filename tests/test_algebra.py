@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from liouvillian.algebra import (Poly, RatFunc, ResourceLimitError,
+from liouvillian.algebra import (Poly, RatFunc,
                                  content_and_primitive, gcd, is_squarefree,
                                  normalized_part, rational_roots, resultant,
                                  squarefree_decompose)
@@ -174,10 +174,11 @@ class TestRationalRoots:
         assert roots == [(fr(0), 3)] and rest == Poly.const("y", 2)
 
     def test_resource_guard(self):
-        # constant term with a 14-digit prime factor cannot be certified
+        # a 14-digit prime constant term, beyond any divisor enumeration
         big_prime = 10**13 + 99
-        with pytest.raises(ResourceLimitError):
-            rational_roots(Poly("y", (big_prime, 0, 0, 1)) * Poly("y", (1, 1)))
+        roots, rest = rational_roots(Poly("y", (big_prime, 0, 0, 1)) * Poly("y", (1, 1)))
+        assert roots == [(fr(-1), 1)]
+        assert rest == Poly("y", (big_prime, 0, 0, 1))
 
     def test_completeness_oracle_randomized(self):
         rng = random.Random(59)

@@ -11,8 +11,8 @@ import pytest
 from liouvillian import cli, verify
 from liouvillian.algebra import Poly, RatFunc
 from liouvillian.decision import AutonomousVerdict
-from liouvillian.parser import (MAX_EXPONENT, MAX_LITERAL_DIGITS,
-                                parse_expression as pe)
+from liouvillian.parser import (MAX_COEFFICIENT_DIGITS, MAX_DEGREE, MAX_EXPONENT,
+                                MAX_LITERAL_DIGITS, parse_expression as pe)
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMA = json.loads(
@@ -140,6 +140,25 @@ class TestExitCodes:
         assert report["error"] == (
             f"resource limit: integer literal at offset 4 has 5000 digits, above "
             f"the bound MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} (stage: parse)")
+
+    @pytest.mark.parametrize("text,error", [
+        ("(y+" + "9" * 4000 + ")^2",
+         "subexpression at offset 4004 has coefficients of up to 26577 bits, more "
+         f"than the bound MAX_COEFFICIENT_DIGITS = {MAX_COEFFICIENT_DIGITS} decimal digits"),
+        ("(y+1)^1000",
+         f"subexpression at offset 5 has degree 1000, above the bound MAX_DEGREE = {MAX_DEGREE}"),
+    ])
+    def test_parsed_size_over_the_budget_is_two(self, text, error, monkeypatch):
+        def no_power(*args):
+            raise AssertionError("a power was formed")
+
+        monkeypatch.setattr(RatFunc, "__pow__", no_power)
+        monkeypatch.setattr(Poly, "__pow__", no_power)
+        code, payload, _ = run_cli(["autonomous", text, "--json"])
+        assert code == 2
+        (report,) = validate_lines(payload)
+        assert report["status"] == "error"
+        assert report["error"] == f"resource limit: {error} (stage: parse)"
 
     def test_failed_check_without_verify_is_three(self, monkeypatch):
         failed = verify.VerificationReport("(y')^2 = 1 - y^2 with y = ...", False, "1")
@@ -308,6 +327,37 @@ class TestSingleCheck:
         assert calls == {**dict.fromkeys(CHECKS, 0), **expected}
         recorded = [r["verification"] is not None for r in reports]
         assert sum(recorded) == (sum(expected.values()) if want_verify else 0)
+
+
+class TestRationalRootSearch:
+    """Lines whose rational-root search once factored their coefficients
+    and ended in a resource limit."""
+
+    @pytest.mark.parametrize("text,status,certificate_only", [
+        ("y^2 - 10000019*10000079", "liouvillian", True),
+        ("y^2 - 1000003*1000033", "liouvillian", True),
+        ("(y^2+1)*(y^2+2)*(y^2+3)*(y^2+5)", "not_liouvillian", False),
+        ("y^3-7*y+1234567", "not_liouvillian", False),
+    ])
+    def test_exact_verdicts(self, text, status, certificate_only):
+        code, payload, _ = run_cli(["autonomous", text, "--json", "--verify"])
+        assert code == 0
+        (report,) = validate_lines(payload)
+        assert report["status"] == status
+        assert report["witness"] is None
+        if certificate_only:
+            assert report["branch"] == "log_derivative"
+            assert report["certificate"]["commensurable"] is True
+            assert report["certificate"]["residues"] == []
+        else:
+            assert report["reason"].endswith("residue ratios are not all rational")
+
+    def test_rational_residues_reach_the_witness_bound(self):
+        code, payload, _ = run_cli(["autonomous", "(y-1/3)*(y-5/7)*(y+11/13)", "--json"])
+        assert code == 2
+        (report,) = validate_lines(payload)
+        assert report["error"] == ("resource limit: explicit logarithmic witness would "
+                                   "have degree 426 (supported bound 128)")
 
 
 class TestFlags:

@@ -7,14 +7,16 @@ its brute-force check).  Skipped cleanly when sympy is not installed.
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from liouvillian.algebra import (Poly, RatFunc, _prime, gcd, is_squarefree,
-                                 rational_roots, resultant,
-                                 squarefree_decompose)
+from liouvillian.algebra import (Poly, RatFunc, _int_clear, _lucky_prime,
+                                 _prime, gcd, is_squarefree, rational_roots,
+                                 resultant, squarefree_decompose)
+from liouvillian.parser import parse_expression
 from liouvillian.reduction import (hermite_reduce, rational_antiderivative,
                                    ratio_resultant, residue_resultant)
 
@@ -205,3 +207,88 @@ class TestAgainstSympy:
                 continue
             den_s = to_sympy(remainder.den)
             assert all(m == 1 for _, m in sympy.sqf_list(den_s)[1])
+
+
+def linear(root: Fraction, var: str = "y") -> Poly:
+    return Poly(var, (-root, 1))
+
+
+def check_against_ground_roots(p: Poly):
+    roots, rest = rational_roots(p)
+    theirs = {from_coeff(r): m for r, m in to_sympy(p).ground_roots().items()}
+    assert dict(roots) == theirs
+    assert [r for r, _ in roots] == sorted(theirs)
+    rebuilt = rest
+    for root, mult in roots:
+        rebuilt = rebuilt * linear(root, p.var) ** mult
+    assert rebuilt == p
+
+
+class TestRationalRootsAgainstGroundRoots:
+    """The p-adic root search against sympy's ``Poly.ground_roots`` on
+    inputs built to be hard for it."""
+
+    def test_roots_with_forty_bit_prime_parts(self):
+        rng = random.Random(443)
+        primes = [sympy.nextprime(rng.getrandbits(40) | 2**39) for _ in range(12)]
+        for _ in range(6):
+            rng.shuffle(primes)
+            p = Poly.const("y", Fraction(rng.choice(primes), rng.choice(primes)))
+            for num, den in zip(primes[:rng.randint(1, 3)], primes[6:]):
+                p = p * linear(Fraction(rng.choice((-1, 1)) * num, den))
+            if rng.random() < 0.5:
+                p = p * Poly("y", (primes[3], 0, primes[9]))  # no rational root
+            check_against_ground_roots(p)
+
+    def test_products_of_irreducible_quadratics(self):
+        rng = random.Random(449)
+        for _ in range(8):
+            p = Poly.const("y", 1)
+            for _ in range(rng.randint(2, 5)):
+                a = rng.randint(2, 10**12)
+                if rng.random() < 0.5:
+                    p = p * Poly("y", (a, rng.randint(-2, 2), 1))  # no real root
+                else:
+                    # y^2 - a with a not a square (a square's successor is not one)
+                    p = p * Poly("y", (-a - (isqrt(a) ** 2 == a), 0, 1))
+            check_against_ground_roots(p)
+        check_against_ground_roots(Poly("y", (1, 0, 1)) * Poly("y", (2, 0, 1))
+                                   * Poly("y", (3, 0, 1)) * Poly("y", (5, 0, 1)))
+
+    def test_repeated_roots(self):
+        rng = random.Random(457)
+        for _ in range(10):
+            p = Poly.const("y", Fraction(rng.randint(1, 50), rng.randint(1, 50)))
+            for _ in range(rng.randint(1, 4)):
+                root = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+                p = p * linear(root) ** rng.randint(1, 5)
+            p = p * Poly("y", (rng.randint(1, 9), 0, 1)) ** rng.randint(0, 2)
+            check_against_ground_roots(p)
+
+    def test_ratio_polynomial_of_degree_sixty_four(self):
+        w = ratio_resultant(residue_resultant(parse_expression("1/(y^8+y+1)", "y")))
+        assert w.degree() == 64
+        check_against_ground_roots(w)
+        assert rational_roots(w)[0] == [(Fraction(1), 8)]
+
+    def test_unlucky_primes_and_the_squarefree_part(self):
+        primorial = 2 * 3 * 5 * 7 * 11 * 13
+        one_to_eight = Poly.const("y", 1)
+        for i in range(1, 9):
+            one_to_eight = one_to_eight * linear(Fraction(i))
+        cases = [
+            # the leading coefficient is divisible by the first six primes
+            Poly("y", (-1, primorial)) * Poly("y", (3, 0, primorial)),
+            # squarefree, but not modulo 2, 3, 5 or 7
+            one_to_eight,
+            one_to_eight * Poly("y", (1, 1, 1)),
+            # not squarefree: the squarefree part is searched too
+            one_to_eight * linear(Fraction(1, 3)) ** 3 * linear(Fraction(-2)) ** 2,
+            Poly("y", (-1, primorial)) ** 2 * linear(Fraction(7)),
+        ]
+        searched = [_lucky_prime(_int_clear(p)) for p in cases]
+        assert all(prime > 7 for _, prime in searched)
+        assert searched[1][0] == _int_clear(one_to_eight)
+        assert len(searched[3][0]) == 10 + 1
+        for p in cases:
+            check_against_ground_roots(p)

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from liouvillian.algebra import Poly, RatFunc, ResourceLimitError
-from liouvillian.parser import (MAX_EXPONENT, MAX_LITERAL_DIGITS, MAX_NESTING,
+from liouvillian.parser import (MAX_COEFFICIENT_DIGITS, MAX_DEGREE, MAX_EXPONENT,
+                                MAX_LITERAL_DIGITS, MAX_NESTING,
                                 ParseError, parse,
                                 parse_expression, parse_tree,
                                 parse_poly_over_coeff_field, parse_polynomial,
@@ -142,6 +143,40 @@ class TestParse:
             parse_expression("y - 0" + "1" * (MAX_LITERAL_DIGITS + 1), "y")
         with pytest.raises(ResourceLimitError, match="stage: parse"):
             parse_poly_over_coeff_field("x*y + " + "1" * 5000, "y", "x")
+
+    def test_degree_budget(self):
+        assert parse_expression(f"(y+1)^{MAX_DEGREE}", "y") == \
+            RatFunc(Poly("y", (1, 1)) ** MAX_DEGREE)
+        assert parse_expression(f"1/y^{MAX_DEGREE} + 1", "y").den == Y**MAX_DEGREE
+        over = f"degree {MAX_DEGREE + 1}, above the bound MAX_DEGREE = {MAX_DEGREE}"
+        with pytest.raises(ResourceLimitError, match=f"offset 5 has {over} \\(stage: parse\\)"):
+            parse_expression(f"(y+1)^{MAX_DEGREE + 1}", "y")
+        with pytest.raises(ResourceLimitError, match=f"offset {len(str(MAX_DEGREE)) + 2} has {over}"):
+            parse_expression(f"y^{MAX_DEGREE}*y", "y")
+        with pytest.raises(ResourceLimitError, match=over):
+            parse_expression(f"1/(1/y^{MAX_DEGREE} + y)", "y")
+
+    def test_coefficient_budget(self):
+        widest = 10**MAX_COEFFICIENT_DIGITS - 1
+        assert parse_expression(f"y/{widest} + 1", "y") == RatFunc(Y * Fraction(1, widest) + 1)
+        # coefficients are measured with their denominators cleared
+        with pytest.raises(ResourceLimitError, match="has coefficients of up to"):
+            parse_expression(f"y/{widest} + {widest}", "y")
+        # 10^4300 has 4301 digits and 14285 bits, as many as 10^4300 - 1
+        assert parse_expression("(10^1000)^4*10^299*y", "y") == RatFunc(Y * 10**4299)
+        with pytest.raises(ResourceLimitError,
+                           match="offset 11 has coefficients of up to 14285 bits, more than the "
+                                 f"bound MAX_COEFFICIENT_DIGITS = {MAX_COEFFICIENT_DIGITS} "
+                                 "decimal digits \\(stage: parse\\)"):
+            parse_expression("(10^1000)^4*10^300*y", "y")
+        with pytest.raises(ResourceLimitError, match="offset 4304 has coefficients of up to"):
+            parse_expression(f"(y+{widest})*{widest}", "y")
+        # a power is refused before it is formed, on a bound of its size
+        with pytest.raises(ResourceLimitError,
+                           match="offset 4004 has coefficients of up to 26577 bits"):
+            parse_expression("(y+" + "9" * 4000 + ")^2", "y")
+        # a coefficient that cancels is not counted
+        assert parse_expression(f"{widest}*y - {widest}*y + 1", "y") == RatFunc.const("y", 1)
 
     def test_empty_input(self):
         with pytest.raises(ParseError, match="end of input"):
