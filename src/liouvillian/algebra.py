@@ -1,7 +1,10 @@
 """Exact univariate polynomial and rational-function arithmetic over Q.
 
-Coefficients are arbitrary-precision `fractions.Fraction` values; every value
-is immutable and every operation is a pure function, so results are safe to
+Coefficients are arbitrary-precision `fractions.Fraction` values at the
+interface.  Products and division clear each operand to a list of integers
+over one common denominator, run their loops over Z (division as integer
+pseudo-division) and build the result's Fractions once.  Every value is
+immutable and every operation is a pure function, so results are safe to
 share between threads and compare structurally with ``==``.  Polynomials carry
 a variable tag (``y``, ``x``, ``t``, ``u``, ...) so values from different
 rings cannot be mixed silently; constants are compatible with any tag.
@@ -147,13 +150,15 @@ class Poly:
         var = self._join_var(other)
         if self.is_zero() or other.is_zero():
             return Poly.zero(var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(var, out)
+        fa, da = _cleared(self.coeffs)
+        fb, db = _cleared(other.coeffs)
+        n = len(fb)
+        out = [0] * (len(fa) + n - 1)
+        for i, a in enumerate(fa):
+            if a:
+                out[i:i + n] = [x + a * b for x, b in zip(out[i:i + n], fb)]
+        den = da * db
+        return Poly(var, [Fraction(c, den) for c in out])
 
     __rmul__ = __mul__
 
@@ -170,23 +175,33 @@ class Poly:
         return result
 
     def divrem(self, divisor: Poly) -> tuple[Poly, Poly]:
-        """Euclidean division: returns (q, r) with self = q*divisor + r."""
+        """Euclidean division: returns (q, r) with self = q*divisor + r.
+
+        With self = f/da and divisor = g/db cleared to integer lists, the
+        pseudo-division lc(g)^e * f = Q*g + R in Z[y], e = deg f - deg g + 1,
+        gives q = Q*db/(lc(g)^e * da) and r = R/(lc(g)^e * da).
+        """
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         var = self._join_var(divisor)
-        rem = list(self.coeffs)
-        dd = len(divisor.coeffs) - 1
-        lead = divisor.coeffs[-1]
-        quo = [Fraction(0)] * max(len(rem) - dd, 0)
-        while len(rem) - 1 >= dd and rem:
-            k = len(rem) - 1 - dd
-            factor = rem[-1] / lead
-            quo[k] = factor
-            for i, c in enumerate(divisor.coeffs):
-                rem[i + k] -= factor * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Poly(var, quo), Poly(var, rem)
+        e = len(self.coeffs) - len(divisor.coeffs) + 1
+        if e <= 0:
+            return Poly.zero(var), Poly(var, self.coeffs)
+        f, da = _cleared(self.coeffs)
+        g, db = _cleared(divisor.coeffs)
+        n, lead = len(g) - 1, g[-1]
+        scale = lead**e
+        r = [c * scale for c in f]
+        quo = [0] * e
+        # Q has integer coefficients, so every quotient step divides exactly
+        for k in range(e - 1, -1, -1):
+            q = r[k + n] // lead
+            if q:
+                quo[k] = q
+                r[k:k + n] = [x - q * y for x, y in zip(r[k:k + n], g)]
+        den = scale * da
+        return (Poly(var, [Fraction(c * db, den) for c in quo]),
+                Poly(var, [Fraction(c, den) for c in r[:n]]))
 
     def exact_div(self, divisor: Poly) -> Poly:
         q, r = self.divrem(divisor)
@@ -231,12 +246,19 @@ def primitive_part(p: Poly) -> Poly:
     return content_and_primitive(p)[1]
 
 
+def _cleared(coeffs: tuple) -> tuple[list[int], int]:
+    """Integer coefficients and their common denominator: coeffs[i] is
+    ints[i]/den, read off the numerators and denominators without Fraction
+    arithmetic."""
+    # a list, not a generator: quicker on short operands, and over many lines
+    # it leaves a lower memory peak
+    den = _int_lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 def _integer_form(p: Poly) -> tuple[Fraction, list[int]]:
-    """Content and primitive integer coefficients of a nonzero p, read off
-    the numerators and denominators without Fraction arithmetic."""
-    coeffs = p.coeffs
-    den = _int_lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    """Content and primitive integer coefficients of a nonzero p."""
+    ints, den = _cleared(p.coeffs)
     prim = _primitive(ints)
     return Fraction(ints[-1], den * prim[-1]), prim
 

@@ -259,17 +259,21 @@ def _fold_chain(node: BinaryOp, evaluate, combine):
     return value
 
 
-def _check_size(f: RatFunc, offset: int, k: int = 1) -> None:
+def _check_size(f: RatFunc, offset: int, k: int = 1, outer: int = 0) -> None:
     """Refuse f^k if it passes MAX_DEGREE or MAX_COEFFICIENT_DIGITS, judged
     from f: f^k is num^k/den^k, of degree k*deg f, and its coefficients,
     cleared by the k-th power of f's common denominator, have at most
-    k*bits + (k-1)*log2(deg f + 1) bits, bits those of f's cleared ones."""
+    k*bits + (k-1)*log2(monomials) bits, bits those of f's cleared ones.
+    In two-variable mode f is one coefficient of a value of degree `outer`
+    in the main variable, which counts towards the degree and monomials."""
     coeffs = f.num.coeffs + f.den.coeffs
     # lists, not generators: over many lines they leave a lower memory peak
     common = lcm(*[c.denominator for c in coeffs])
     widest = max([abs(c.numerator) * (common // c.denominator) for c in coeffs])
-    degree = max(len(f.num.coeffs), len(f.den.coeffs)) - 1
-    bits = k * widest.bit_length() + (k - 1) * degree.bit_length()
+    inner = max(len(f.num.coeffs), len(f.den.coeffs)) - 1
+    degree = max(inner, outer)
+    monomials = (outer + 1) * (inner + 1)
+    bits = k * widest.bit_length() + (k - 1) * (monomials - 1).bit_length()
     if k * degree > MAX_DEGREE:
         limit = f"degree {k * degree}, above the bound MAX_DEGREE = {MAX_DEGREE}"
     elif bits > _COEFFICIENT_BITS or bits == _COEFFICIENT_BITS and (
@@ -333,7 +337,13 @@ def parse_polynomial(text: str, variable: str) -> Poly:
 
 # Two-variable mode, used only by the degree-bound subcommand: a polynomial in
 # `main` whose coefficients are rational functions in `coeff`.  Values are
-# coefficient lists indexed by the main-variable power.
+# coefficient lists indexed by the main-variable power; the size budget bounds
+# that list's degree and each coefficient's.
+
+
+def _check_bivar_size(cs: list[RatFunc], offset: int, k: int = 1) -> None:
+    for c in cs:
+        _check_size(c, offset, k, len(cs) - 1)
 
 
 def _bi_mul(a: list[RatFunc], b: list[RatFunc], coeff: str) -> list[RatFunc]:
@@ -379,27 +389,34 @@ def _eval_bivar(node: Node, main: str, coeff: str) -> list[RatFunc]:
     if isinstance(node, Negate):
         return [-c for c in _eval_bivar(node.operand, main, coeff)]
     base = _eval_bivar(node.base, main, coeff)
+    _check_bivar_size(base, node.offset, node.exponent)
     result: list[RatFunc] = [RatFunc.const(coeff, 1)]
     for _ in range(node.exponent):
         result = _bi_mul(result, base, coeff)
+    # a coefficient of the power sums products of different coefficients,
+    # whose denominators the prediction from base does not combine
+    _check_bivar_size(result, node.offset)
     return result
 
 
 def _combine_bivar(node: BinaryOp, left: list[RatFunc], right: list[RatFunc],
                    main: str, coeff: str) -> list[RatFunc]:
     if node.op == "add":
-        return _bi_add(left, right, negate=False)
-    if node.op == "sub":
-        return _bi_add(left, right, negate=True)
-    if node.op == "mul":
-        return _bi_mul(left, right, coeff)
-    if len(right) > 1:
+        value = _bi_add(left, right, negate=False)
+    elif node.op == "sub":
+        value = _bi_add(left, right, negate=True)
+    elif node.op == "mul":
+        value = _bi_mul(left, right, coeff)
+    elif len(right) > 1:
         raise ParseError(f"cannot divide by an expression containing {main!r}",
                          node.offset)
-    if not right:
+    elif not right:
         raise ParseError("division by an expression that is identically zero",
                          node.offset)
-    return [c / right[0] for c in left]
+    else:
+        value = [c / right[0] for c in left]
+    _check_bivar_size(value, node.offset)
+    return value
 
 
 def parse_poly_over_coeff_field(text: str, main: str, coeff: str) -> list[RatFunc]:

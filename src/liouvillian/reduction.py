@@ -321,9 +321,7 @@ def log_derivative_up_to_constant(f: RatFunc) -> LogDerivativeVerdict:
     ratio_poly = ratio_resultant(residue_poly)
     ratio_roots, ratio_rest = rational_roots(ratio_poly)
     if not ratio_rest.is_constant():
-        certificate = ResidueCertificate(residue_poly, ratio_poly, (), False, None)
-        return LogDerivativeVerdict(kind="no", reasons=(REASON_INCOMMENSURABLE,),
-                                    certificate=certificate)
+        return LogDerivativeVerdict(kind="no", reasons=(REASON_INCOMMENSURABLE,))
     residues, bound_factors = split_residues(f, residue_poly)
     if bound_factors is not None:
         scale, witness = scaled_log_witness(f, bound_factors)

@@ -15,6 +15,37 @@ from liouvillian.parser import render
 from liouvillian.verify import VerificationReport
 
 
+def reference_mul(a: Poly, b: Poly) -> Poly:
+    """Schoolbook product over Q, one Fraction product and sum per term."""
+    var = a._join_var(b)
+    if a.is_zero() or b.is_zero():
+        return Poly.zero(var)
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return Poly(var, out)
+
+
+def reference_divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Schoolbook Euclidean division over Q, one Fraction step per term."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    var = a._join_var(b)
+    rem = list(a.coeffs)
+    dd = len(b.coeffs) - 1
+    quo = [Fraction(0)] * max(len(rem) - dd, 0)
+    while rem and len(rem) - 1 >= dd:
+        k = len(rem) - 1 - dd
+        factor = rem[-1] / b.coeffs[-1]
+        quo[k] = factor
+        for i, c in enumerate(b.coeffs):
+            rem[i + k] -= factor * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return Poly(var, quo), Poly(var, rem)
+
+
 def rand_fraction(rng: random.Random, span: int = 9, max_den: int = 4,
                   nonzero: bool = False) -> Fraction:
     while True:

@@ -10,7 +10,8 @@ from liouvillian.algebra import (Poly, RatFunc,
                                  normalized_part, rational_roots, resultant,
                                  squarefree_decompose)
 
-from helpers import is_canonical, rand_fraction, rand_poly, rand_ratfunc
+from helpers import (is_canonical, rand_fraction, rand_poly, rand_ratfunc,
+                     reference_divrem, reference_mul)
 
 Y = Poly.gen("y")
 
@@ -59,6 +60,65 @@ class TestPolyBasics:
         assert (Y**3 + Y + 1).diff() == 3 * Y**2 + 1
         assert Poly.const("y", 5).diff().is_zero()
         assert (Y**2 + Y).diff() == 2 * Y + 1
+
+
+def rand_operand(rng: random.Random, var: str = "y") -> Poly:
+    """Zero, a constant or a polynomial of degree up to 8, with numerators up
+    to 10^12 of either sign and denominators up to 4 or near 10^30."""
+    degree = rng.choice([None, 0, 0, 1, 2, 3, 5, 8])
+    if degree is None:
+        return Poly.zero(var)
+    span = rng.choice([9, 10**12])
+    max_den = rng.choice([1, 4, 10**30])
+    return Poly(var, [rand_fraction(rng, span, max_den) for _ in range(degree)]
+                + [rand_fraction(rng, span, max_den, nonzero=True)])
+
+
+class TestIntegerKernels:
+    """Products and division run on cleared integer lists; the Fraction
+    schoolbook loops in helpers are the reference."""
+
+    def test_products_match_reference_randomized(self):
+        rng = random.Random(211)
+        for _ in range(300):
+            a, b = rand_operand(rng), rand_operand(rng)
+            assert a * b == reference_mul(a, b)
+            n = rng.randint(0, 4)
+            power = Poly.const("y", 1)
+            for _ in range(n):
+                power = reference_mul(power, a)
+            assert a**n == power
+
+    def test_scalar_products_match_reference_randomized(self):
+        rng = random.Random(223)
+        for _ in range(200):
+            a = rand_operand(rng)
+            k = rng.choice([rng.randint(-5, 5),
+                            rand_fraction(rng, 10**12, rng.choice([4, 10**30]))])
+            expected = reference_mul(a, Poly.const("y", k))
+            assert a * k == expected
+            assert k * a == expected
+
+    def test_division_matches_reference_randomized(self):
+        rng = random.Random(227)
+        for _ in range(300):
+            a, b = rand_operand(rng), rand_operand(rng)
+            if b.is_zero():
+                continue
+            q, r = a.divrem(b)
+            assert (q, r) == reference_divrem(a, b)
+            assert r.is_zero() or r.degree() < b.degree()
+            assert (a * b).exact_div(b) == a
+
+    def test_inexact_division_rejected(self):
+        with pytest.raises(ValueError, match="not exact"):
+            (Y**2 + 1).exact_div(3 * Y - 1)
+
+    @pytest.mark.parametrize("operation", [
+        lambda a, b: a * b, lambda a, b: a.divrem(b), lambda a, b: a.exact_div(b)])
+    def test_variable_mismatch_rejected(self, operation):
+        with pytest.raises(ValueError, match="variable mismatch"):
+            operation(Y**2 + fr(1, 3), Poly.gen("x") - 2)
 
 
 class TestGcd:

@@ -8,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from liouvillian import cli, verify
+from liouvillian import cli, parser, verify
 from liouvillian.algebra import Poly, RatFunc
 from liouvillian.decision import AutonomousVerdict
 from liouvillian.parser import (MAX_COEFFICIENT_DIGITS, MAX_DEGREE, MAX_EXPONENT,
@@ -159,6 +159,37 @@ class TestExitCodes:
         (report,) = validate_lines(payload)
         assert report["status"] == "error"
         assert report["error"] == f"resource limit: {error} (stage: parse)"
+
+    @pytest.mark.parametrize("text,error", [
+        ("(x^2+3/7*x+y)^200",
+         f"subexpression at offset 13 has degree 400, above the bound MAX_DEGREE = {MAX_DEGREE}"),
+        ("(x+1)^1000*y^3",
+         f"subexpression at offset 5 has degree 1000, above the bound MAX_DEGREE = {MAX_DEGREE}"),
+    ])
+    def test_two_variable_size_over_the_budget_is_two(self, text, error, monkeypatch):
+        products = []
+        multiply = parser._bi_mul
+        monkeypatch.setattr(parser, "_bi_mul",
+                            lambda *args: products.append(args) or multiply(*args))
+        code, payload, _ = run_cli(["degbound", text, "--coeff-field", "qx", "--json"])
+        # the small powers and products inside the base, never the large power
+        assert len(products) <= 3
+        assert code == 2
+        (report,) = validate_lines(payload)
+        assert report["status"] == "error"
+        assert report["error"] == f"resource limit: {error} (stage: parse)"
+
+    def test_two_variable_power_is_measured_once_formed(self):
+        # each Q(x) coefficient of the base has degree 5, so the prediction,
+        # 7*5, is within the bound; the y^7 coefficient of the power has
+        # denominator (x-1)^15*(x-2)^35*(x-3)^15
+        text = "(1/(x-1)^5 + y/(x-2)^5 + y^2/(x-3)^5)^7"
+        code, payload, _ = run_cli(["degbound", text, "--coeff-field", "qx", "--json"])
+        assert code == 2
+        (report,) = validate_lines(payload)
+        assert report["error"] == (
+            f"resource limit: subexpression at offset 37 has degree 65, above the "
+            f"bound MAX_DEGREE = {MAX_DEGREE} (stage: parse)")
 
     def test_failed_check_without_verify_is_three(self, monkeypatch):
         failed = verify.VerificationReport("(y')^2 = 1 - y^2 with y = ...", False, "1")
