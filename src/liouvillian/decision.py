@@ -242,8 +242,7 @@ def log_derivative_of_algebraic(alpha: RatFunc) -> LogDerivativeOfAlgebraic:
     _, bound_factors = split_residues(alpha, residue_poly)
     if bound_factors is None:
         return LogDerivativeOfAlgebraic("no", reasons=(REASON_IRRATIONAL_RESIDUES,))
-    certificate = ResidueCertificate(residue_poly, Poly.zero("u"), bound_factors,
-                                     True, None)
+    certificate = ResidueCertificate(residue_poly, Poly.zero("u"), bound_factors, None)
     if all(r.denominator == 1 for r, _ in bound_factors):
         gamma = RatFunc.const(alpha.var, 1)
         for residue, factor in bound_factors:

@@ -9,13 +9,15 @@ Everything a first-order decision procedure needs to know about ``f(y)``:
   denominator has exactly the residues of ``h`` at its poles as roots.
   Residues are never represented as floating or algebraic numbers, only
   through this defining polynomial.
-* The ratio polynomial ``W(u) = res_t(S(t), S(u*t))`` has all pairwise
-  residue ratios as roots, so "some constant rescales every residue to an
-  integer" becomes "every root of ``W`` is rational", decided by
-  :func:`~liouvillian.algebra.rational_roots`.
-* Both come from power sums of their roots through Newton's identities, no
-  determinant is formed (Bostan, Flajolet, Salvy and Schost, "Fast
-  computation of special resultants", J. Symbolic Comput. 41, 2006).
+* "Some constant rescales every residue to an integer" means the residues
+  are pairwise commensurable, which is decided from ``S`` alone: ``S``
+  splits over Q, or :func:`residues_commensurable_in_pairs` holds.
+* The ratio polynomial ``W(u) = res_t(S(t), S(u*t))``, whose roots are all
+  pairwise residue ratios, is built only for the certificate of a
+  commensurable line, which prints it.
+* ``S`` and ``W`` come from power sums of their roots through Newton's
+  identities, no determinant is formed (Bostan, Flajolet, Salvy and Schost,
+  "Fast computation of special resultants", J. Symbolic Comput. 41, 2006).
 """
 
 from __future__ import annotations
@@ -28,8 +30,10 @@ from operator import floordiv, truediv
 from .algebra import (InternalInconsistencyError, Poly, RatFunc,
                       ResourceLimitError, gcd, is_squarefree, normalized_part,
                       primitive_part, rational_roots, squarefree_decompose)
+from .verify import is_rational_square
 
-# W(u) has degree (deg S)^2; refuse inputs that would blow past desk scale.
+# W(u) has degree (deg S)^2 and is built only for the certificate of a
+# commensurable line; the parse budget already keeps deg S <= MAX_DEGREE.
 _MAX_RESIDUE_DEGREE = 64
 # An explicit product witness has degree sum(|a*r_i| * deg g_i); residues with
 # huge numerators or wild denominators would make it astronomically large.
@@ -237,6 +241,27 @@ def split_residues(h: RatFunc, residue_poly: Poly) -> tuple[
                            for r in residues)
 
 
+def residues_commensurable_in_pairs(residue_poly: Poly) -> bool:
+    """For a residue polynomial S that does not split over Q: are its roots
+    pairwise commensurable?  True iff S(t) = U(t^2), U splits over Q and
+    every root of U over the first one is the square of a rational; the
+    roots of S are then +-q*sqrt(u) for one root u of U and rationals q.
+
+    Why nothing else can be commensurable: every automorphism sigma of the
+    splitting field acts on commensurable roots b as sigma(b) = q*b with one
+    rational q, of finite order, so q = +-1 and sigma fixes every b^2
+    (Galois theory applied to the Rothstein-Trager residue criterion,
+    Bronstein, *Symbolic Integration I*, ch. 2)."""
+    coeffs = residue_poly.coeffs
+    if any(coeffs[1::2]):
+        return False
+    roots, rest = rational_roots(Poly(RESIDUE_VAR, coeffs[::2]))
+    if not rest.is_constant():
+        return False
+    first = roots[0][0]
+    return all(is_rational_square(r / first) for r, _ in roots)
+
+
 def scaled_log_witness(h: RatFunc, bound_factors: tuple[tuple[Fraction, Poly], ...]
                        ) -> tuple[Fraction, RatFunc]:
     """For proper h with squarefree denominator and all-rational residues,
@@ -276,7 +301,6 @@ class ResidueCertificate:
     residue_poly: Poly                                    # in t
     ratio_poly: Poly                                      # in u
     rational_residues: tuple[tuple[Fraction, Poly], ...]  # (residue, bound factor)
-    commensurable: bool
     scale: Fraction | None
 
 
@@ -305,7 +329,9 @@ def log_derivative_up_to_constant(f: RatFunc) -> LogDerivativeVerdict:
     """Is f = z'/(a*z) for some nonzero constant a and rational z?
 
     Holds iff f is proper, its denominator is squarefree, and all residues
-    are rational multiples of one another.
+    are rational multiples of one another: the residue polynomial S splits
+    over Q (a witness) or :func:`residues_commensurable_in_pairs` holds (a
+    certificate).  W is built only for the certificate, which prints it.
     """
     if f.is_zero():
         raise ValueError("the zero function is not a logarithmic derivative")
@@ -318,19 +344,18 @@ def log_derivative_up_to_constant(f: RatFunc) -> LogDerivativeVerdict:
     if reasons:
         return LogDerivativeVerdict(kind="no", reasons=tuple(reasons))
     residue_poly = residue_resultant(f)
-    ratio_poly = ratio_resultant(residue_poly)
-    ratio_roots, ratio_rest = rational_roots(ratio_poly)
-    if not ratio_rest.is_constant():
-        return LogDerivativeVerdict(kind="no", reasons=(REASON_INCOMMENSURABLE,))
     residues, bound_factors = split_residues(f, residue_poly)
     if bound_factors is not None:
         scale, witness = scaled_log_witness(f, bound_factors)
-        certificate = ResidueCertificate(residue_poly, ratio_poly, bound_factors,
-                                         True, scale)
+        certificate = ResidueCertificate(residue_poly, ratio_resultant(residue_poly),
+                                         bound_factors, scale)
         return LogDerivativeVerdict(kind="witness", scale=scale, witness=witness,
                                     certificate=certificate)
+    if not residues_commensurable_in_pairs(residue_poly):
+        return LogDerivativeVerdict(kind="no", reasons=(REASON_INCOMMENSURABLE,))
     if residues:
         raise InternalInconsistencyError(
             "commensurable residues split partially over Q")
-    certificate = ResidueCertificate(residue_poly, ratio_poly, (), True, None)
+    certificate = ResidueCertificate(residue_poly, ratio_resultant(residue_poly),
+                                     (), None)
     return LogDerivativeVerdict(kind="certificate", certificate=certificate)

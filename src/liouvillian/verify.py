@@ -4,8 +4,9 @@ Every check substitutes a witness back into its defining identity and tests
 exact equality over Q or over the quadratic extension Q(lam), using only the
 base arithmetic module — never the reduction code paths that produced the
 witness — so a reduction bug cannot certify its own output.  There are no
-tolerances: the residual is an exact field element and "passed" means it is
-the zero element.
+tolerances: "passed" means the residual is the zero element.  The checks
+over Q(y) clear denominators and compare two polynomials; the normalised
+residual is built only to render a failure.
 """
 
 from __future__ import annotations
@@ -144,24 +145,38 @@ def render_quad_value(value: QuadValue, symbol: str = "lam") -> str:
     return _render_pair(value.base, value.lam_part, symbol)
 
 
+def _cleared_derivative(z: RatFunc) -> tuple[Poly, Poly, Poly]:
+    """(N'D - ND', N, D) for z = N/D, so that z' = (N'D - ND')/D^2.  Each
+    check below compares these polynomials crosswise with R = P/Q, with no
+    gcd; the normalised residual is built only to render a failure."""
+    num, den = z.num, z.den
+    return num.diff() * den - num * den.diff(), num, den
+
+
+def _report(identity: str, passed: bool, residual) -> VerificationReport:
+    return VerificationReport(identity, passed, "0" if passed else render(residual()))
+
+
 def verify_autonomous_witness(rhs: RatFunc, branch: str, z: RatFunc,
                               scale: Fraction | None = None) -> VerificationReport:
     """Check an autonomous-equation witness by exact substitution.
 
-    Antiderivative branch: R * dz/dy = 1.  Logarithmic branch:
-    R * dz/dy = a * z.  Both are literal rational-function identities.
+    Antiderivative branch: R * dz/dy = 1, i.e. (N'D - ND')*P = D^2*Q.
+    Logarithmic branch: R * dz/dy = a * z, i.e. (N'D - ND')*P = a*N*D*Q.
     """
+    derived, num, den = _cleared_derivative(z)
+    lhs = derived * rhs.num
     if branch == "antiderivative":
         identity = f"({render(rhs)}) * d/dy[{render(z)}] = 1"
-        residual = rhs * z.diff() - 1
-    elif branch == "log_derivative":
+        passed = lhs == den * den * rhs.den
+        return _report(identity, passed, lambda: rhs * z.diff() - 1)
+    if branch == "log_derivative":
         if scale is None:
             raise MalformedWitnessError("logarithmic witness needs its constant")
         identity = f"({render(rhs)}) * d/dy[{render(z)}] = {scale} * ({render(z)})"
-        residual = rhs * z.diff() - scale * z
-    else:
-        raise MalformedWitnessError(f"unknown branch {branch!r}")
-    return VerificationReport(identity, residual.is_zero(), render(residual))
+        passed = lhs == scale * num * den * rhs.den
+        return _report(identity, passed, lambda: rhs * z.diff() - scale * z)
+    raise MalformedWitnessError(f"unknown branch {branch!r}")
 
 
 def verify_square_witness(p: Poly, witness: TowerWitness) -> VerificationReport:
@@ -182,18 +197,20 @@ def verify_square_witness(p: Poly, witness: TowerWitness) -> VerificationReport:
 
 
 def verify_antiderivative(f: RatFunc, z: RatFunc, f_text: str = "") -> VerificationReport:
-    """Check z' = f; the identity names f by ``f_text`` (as typed) if given."""
-    residual = z.diff() - f
-    return VerificationReport(f"d/d{f.var}[{render(z)}] = {f_text or render(f)}",
-                              residual.is_zero(), render(residual))
+    """Check z' = f, i.e. (N'D - ND')*Q = P*D^2 for z = N/D and f = P/Q; the
+    identity names f by ``f_text`` (as typed) if given."""
+    derived, _, den = _cleared_derivative(z)
+    return _report(f"d/d{f.var}[{render(z)}] = {f_text or render(f)}",
+                   derived * f.den == f.num * den * den, lambda: z.diff() - f)
 
 
 def verify_log_derivative(f: RatFunc, gamma: RatFunc, f_text: str = "") -> VerificationReport:
-    """Check gamma' = f*gamma, naming f as :func:`verify_antiderivative` does."""
-    residual = gamma.diff() - f * gamma
-    return VerificationReport(
+    """Check gamma' = f*gamma, i.e. (N'D - ND')*Q = P*N*D for gamma = N/D and
+    f = P/Q, naming f as :func:`verify_antiderivative` does."""
+    derived, num, den = _cleared_derivative(gamma)
+    return _report(
         f"d/d{f.var}[{render(gamma)}] = ({f_text or render(f)}) * {render(gamma)}",
-        residual.is_zero(), render(residual))
+        derived * f.den == f.num * num * den, lambda: gamma.diff() - f * gamma)
 
 
 def describe_generator(generator: Generator, witness: TowerWitness) -> str:

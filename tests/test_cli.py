@@ -8,11 +8,12 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from liouvillian import cli, parser, verify
+from liouvillian import cli, parser, reduction, verify
 from liouvillian.algebra import Poly, RatFunc
 from liouvillian.decision import AutonomousVerdict
 from liouvillian.parser import (MAX_COEFFICIENT_DIGITS, MAX_DEGREE, MAX_EXPONENT,
                                 MAX_LITERAL_DIGITS, parse_expression as pe)
+from liouvillian.reduction import ratio_resultant
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMA = json.loads(
@@ -389,6 +390,41 @@ class TestRationalRootSearch:
         (report,) = validate_lines(payload)
         assert report["error"] == ("resource limit: explicit logarithmic witness would "
                                    "have degree 426 (supported bound 128)")
+
+
+class TestRatioPolynomialOnlyWhenPrinted:
+    """Commensurability is decided from S; W is built only for the
+    certificate of a witness or certificate line, which prints it."""
+
+    @pytest.mark.parametrize("text", ["y^16+y+1", "1/(1/(y^2-2) + 1/(y^2-3))"])
+    def test_no_line_never_builds_w(self, text, monkeypatch):
+        def refuse(_):
+            raise AssertionError("ratio polynomial built for a not_liouvillian line")
+        monkeypatch.setattr(reduction, "ratio_resultant", refuse)
+        code, payload, _ = run_cli(["autonomous", text, "--json", "--verify"])
+        assert code == 0
+        (report,) = validate_lines(payload)
+        assert report["status"] == "not_liouvillian"
+        assert report["reason"].endswith("residue ratios are not all rational")
+
+    @pytest.mark.parametrize("text,witness,ratio_poly", [
+        ("y^2+y", "y/(y + 1)", "u^4 - 2*u^2 + 1"),
+        ("y^2+1", None, "16*u^4 - 32*u^2 + 16"),
+    ])
+    def test_printed_certificate_keeps_w(self, text, witness, ratio_poly, monkeypatch):
+        built = []
+
+        def counted(s):
+            built.append(s)
+            return ratio_resultant(s)
+        monkeypatch.setattr(reduction, "ratio_resultant", counted)
+        code, payload, _ = run_cli(["autonomous", text, "--json", "--verify"])
+        assert code == 0
+        (report,) = validate_lines(payload)
+        assert report["status"] == "liouvillian"
+        assert (report["witness"] and report["witness"]["z"]) == witness
+        assert report["certificate"]["ratio_poly"] == ratio_poly
+        assert len(built) == 1
 
 
 class TestFlags:

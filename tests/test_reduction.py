@@ -13,8 +13,9 @@ from liouvillian.parser import parse_expression as pe
 from liouvillian.reduction import (hermite_reduce,
                                    log_derivative_up_to_constant,
                                    ratio_resultant, rational_antiderivative,
-                                   residue_resultant, scaled_log_witness,
-                                   split_residues)
+                                   residue_resultant,
+                                   residues_commensurable_in_pairs,
+                                   scaled_log_witness, split_residues)
 
 from helpers import (brute_residues, fraction_from_residues, rand_fraction,
                      rand_poly, rand_ratfunc, split_proper_fraction)
@@ -237,6 +238,107 @@ class TestCommensurable:
         assert not leftover.is_constant()
         _, leftover = rational_roots(ratio_resultant(Poly("t", (2, -3, 1))))
         assert leftover.is_constant()
+
+
+def _w_criterion(s):
+    """Commensurable residues: every root of W = res_t(S(t), S(u*t)) is
+    rational."""
+    return rational_roots(ratio_resultant(s))[1].is_constant()
+
+
+def _s_criterion(s):
+    """The same, decided from S alone as log_derivative_up_to_constant does."""
+    return rational_roots(s)[1].is_constant() or residues_commensurable_in_pairs(s)
+
+
+def _random_residue_poly(rng):
+    """A squarefree S with S(0) != 0 from a few of: rational linear factors,
+    t^2 - q^2*c with one shared c (commensurable +-sqrt(c) pairs), t^2 - c'
+    with a random c', t^4 - c' (even, with U = t^2 - c') and random
+    quadratics."""
+    shared = rng.choice((2, 3, -1, fr(5, 2)))
+    while True:
+        s = Poly.const("t", 1)
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.randrange(5)
+            if kind == 0:
+                piece = Poly("t", (-rand_fraction(rng, nonzero=True), 1))
+            elif kind == 1:
+                piece = Poly("t", (-shared * rand_fraction(rng, nonzero=True) ** 2, 0, 1))
+            elif kind == 2:
+                piece = Poly("t", (-rand_fraction(rng, nonzero=True), 0, 1))
+            elif kind == 3:
+                piece = Poly("t", (-rand_fraction(rng, nonzero=True), 0, 0, 0, 1))
+            else:
+                piece = rand_poly(rng, "t", max_deg=2, nonzero=True)
+            s = s * piece
+        if not s.is_constant() and s(fr(0)) != 0 and is_squarefree(s):
+            return s
+
+
+class TestCommensurabilityFromS:
+    """The S-only criterion against "W splits over Q", the definition."""
+
+    def test_random_residue_polynomials(self):
+        rng = random.Random(97)
+        outcomes = []
+        for _ in range(150):
+            s = _random_residue_poly(rng)
+            outcomes.append(_w_criterion(s))
+            assert _s_criterion(s) == outcomes[-1], s
+        assert 20 < sum(outcomes) < 130
+
+    def test_random_proper_fractions(self):
+        rng = random.Random(89)
+        outcomes = []
+        while len(outcomes) < 60:
+            h = RatFunc(rand_poly(rng, "y", max_deg=2, nonzero=True),
+                        rand_poly(rng, "y", max_deg=3, nonzero=True))
+            if not h.is_proper() or h.den.is_constant() or not is_squarefree(h.den):
+                continue
+            expected = _w_criterion(residue_resultant(h))
+            assert (log_derivative_up_to_constant(h).kind != "no") == expected, h
+            outcomes.append(expected)
+        assert 0 < sum(outcomes) < len(outcomes)
+
+    @pytest.mark.parametrize("text, expected", [
+        # +-sqrt(c) residue pairs: commensurable iff c1/c2 is a rational square
+        ("1/(y^2-2)", True),
+        ("1/(y^2+1)", True),
+        ("1/(y^2-2) + 3/(y^2-8)", True),
+        ("1/(y^2+1) + 1/(y^2+4)", True),
+        ("1/(y^2-2) + 1/(y^2-3)", False),
+        ("1/(y^2-2) + 1/(y^2+2)", False),
+        ("1/(y^2+1) + 1/(y^2-1)", False),
+        # residues 1, -1, +-sqrt(2): a partial split
+        ("1/(y-5) - 1/(y-7) + 4/(y^2-2)", False),
+        # an even S that splits: residues +-1 and +-2
+        ("1/(y-1) - 1/(y-2) + 2/(y-3) - 2/(y-4)", True),
+    ])
+    def test_structured_fractions(self, text, expected):
+        h = pe(text, "y")
+        s = residue_resultant(h)
+        assert _w_criterion(s) == expected
+        assert _s_criterion(s) == expected
+        assert (log_derivative_up_to_constant(h).kind != "no") == expected
+
+    @pytest.mark.parametrize("roots, expected", [
+        ((1, -1, "t^2-2"), False),                # (t-1)(t+1)(t^2-2)
+        ((1, -1, 2, -2), True),                   # even, splits
+        (("t^2-2", "t^2-18"), True),              # ratio 9
+        (("t^2-2", "t^2-6"), False),              # ratio 3
+        (("t^2+3", "t^2+1/3"), True),             # ratio 1/9
+        (("t^2+3", "t^2-3"), False),              # ratio -1
+        (("t^4-2",), False),                      # even, U = t^2-2 irreducible
+        (("t^2-2", "t^3-2"), False),              # not even
+    ])
+    def test_structured_residue_polynomials(self, roots, expected):
+        s = Poly.const("t", 1)
+        for piece in roots:
+            s = s * (pe(piece, "t").num if isinstance(piece, str)
+                     else Poly("t", (-piece, 1)))
+        assert _w_criterion(s) == expected
+        assert _s_criterion(s) == expected
 
 
 def _witness(h):

@@ -5,14 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from liouvillian.algebra import Poly, RatFunc
-from liouvillian.parser import parse_expression as pe, parse_polynomial as pp
+from liouvillian.algebra import Poly, RatFunc, ResourceLimitError
+from liouvillian.decision import decide_autonomous
+from liouvillian.parser import (parse_expression as pe, parse_polynomial as pp,
+                                render)
 from liouvillian.towers import (ANTIDERIVATIVE, EXPONENTIAL, Generator,
                                 QuadExtension, QuadValue, TowerWitness,
                                 antiderivative_witness, exponential_witness)
 from liouvillian.verify import (MalformedWitnessError, is_rational_square,
-                                rational_square_root,
-                                verify_autonomous_witness,
+                                rational_square_root, verify_antiderivative,
+                                verify_autonomous_witness, verify_log_derivative,
                                 verify_square_witness)
 
 from helpers import check_leibniz, rand_fraction, rand_ratfunc
@@ -170,3 +172,64 @@ class TestMutationDetection:
             witness = antiderivative_witness(RatFunc(Poly("t", coeffs)),
                                              "(y')^2 = 2y+3")
             assert not verify_square_witness(p, witness).passed
+
+
+def _variants(rng, z):
+    """z itself, z times a constant other than 1, and z with one coefficient
+    of its numerator or denominator perturbed."""
+    yield z
+    yield z * rng.choice((fr(2), fr(-1), fr(3, 7)))
+    for _ in range(3):
+        num, den = list(z.num.coeffs), list(z.den.coeffs)
+        target = rng.choice((num, den))
+        target[rng.randrange(len(target))] += rand_fraction(rng, nonzero=True)
+        if any(den):
+            yield RatFunc(Poly(z.var, num), Poly(z.var, den))
+
+
+class TestCorruptedWitnessResidual:
+    """A check compares cleared polynomials: it passes a witness and fails
+    its corruptions exactly when the normalised RatFunc residual of the
+    identity is zero, and renders that residual."""
+
+    def _assert_matches(self, report, residual):
+        assert report.passed == residual.is_zero()
+        assert report.residual == render(residual)
+        return not report.passed
+
+    def test_autonomous_witnesses(self):
+        rng = random.Random(107)
+        failed = {"antiderivative": 0, "log_derivative": 0}
+        while min(failed.values()) < 60:
+            rhs = rand_ratfunc(rng, "y", max_deg=2, nonzero=True)
+            if rng.random() < 0.5 and not rhs.is_constant():
+                rhs = rhs.diff().inverse()      # R = 1/z' has the witness z
+            try:
+                v = decide_autonomous(rhs)
+            except ResourceLimitError:
+                continue
+            if v.witness is None:
+                continue
+            for z in _variants(rng, v.witness):
+                if v.branch == "antiderivative":
+                    report = verify_autonomous_witness(rhs, v.branch, z)
+                    residual = rhs * z.diff() - 1
+                else:
+                    a = v.scale + rng.choice((0, 0, rand_fraction(rng, nonzero=True)))
+                    report = verify_autonomous_witness(rhs, v.branch, z, a)
+                    residual = rhs * z.diff() - a * z
+                failed[v.branch] += self._assert_matches(report, residual)
+
+    def test_antiderivative_and_log_derivative_witnesses(self):
+        rng = random.Random(109)
+        failed = [0, 0]
+        while min(failed) < 60:
+            z = rand_ratfunc(rng, "x", max_deg=2, nonzero=True)
+            if z.is_constant():
+                continue
+            f, g = z.diff(), z.diff() / z
+            for mutated in _variants(rng, z):
+                failed[0] += self._assert_matches(verify_antiderivative(f, mutated),
+                                                  mutated.diff() - f)
+                failed[1] += self._assert_matches(verify_log_derivative(g, mutated),
+                                                  mutated.diff() - g * mutated)
