@@ -152,13 +152,8 @@ class Poly:
             return Poly.zero(var)
         fa, da = _cleared(self.coeffs)
         fb, db = _cleared(other.coeffs)
-        n = len(fb)
-        out = [0] * (len(fa) + n - 1)
-        for i, a in enumerate(fa):
-            if a:
-                out[i:i + n] = [x + a * b for x, b in zip(out[i:i + n], fb)]
         den = da * db
-        return Poly(var, [Fraction(c, den) for c in out])
+        return Poly(var, [Fraction(c, den) for c in _int_mul(fa, fb)])
 
     __rmul__ = __mul__
 
@@ -308,6 +303,16 @@ def _prime(index: int) -> int:
     while not _is_prime(n):
         n -= 2
     return n
+
+
+def _int_mul(fa: list[int], fb: list[int]) -> list[int]:
+    """Product of two nonzero integer coefficient lists."""
+    n = len(fb)
+    out = [0] * (len(fa) + n - 1)
+    for i, a in enumerate(fa):
+        if a:
+            out[i:i + n] = [x + a * b for x, b in zip(out[i:i + n], fb)]
+    return out
 
 
 def _int_trim(cs: list[int]) -> list[int]:

@@ -15,7 +15,13 @@ is formed; so is an integer literal of more than :data:`MAX_LITERAL_DIGITS`
 significant digits, raised before it is converted, and a subexpression whose
 value would pass :data:`MAX_DEGREE` or :data:`MAX_COEFFICIENT_DIGITS`, raised
 before any power of it is formed and after each sum, difference, product or
-quotient, so that no decision procedure sees it.  Parentheses and unary
+quotient, so that no decision procedure sees it.  In the two-variable mode
+of :func:`parse_poly_over_coeff_field` the coefficients in Q(x) stay
+unreduced while the tree is folded.  At those points a cheap bound on each
+unreduced coefficient is measured, and a coefficient is reduced and measured
+exactly only when that bound does not prove it within the budget, so the
+same inputs pass; after each multiplication of a power such a coefficient is
+reduced too, which keeps partial powers small.  Parentheses and unary
 minus nest at most :data:`MAX_NESTING` deep (deeper input is a
 :class:`ParseError`); sums and products may be of any length.  Rational
 constants are written with ``/`` ("3/2" is exact integer division).  Exactly
@@ -30,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil, lcm, log2
 
-from .algebra import Poly, RatFunc, ResourceLimitError
+from .algebra import Poly, RatFunc, ResourceLimitError, _cleared, _int_mul, _int_trim
 
 # Parentheses plus unary minus signs open at any point of an expression.
 MAX_NESTING = 100
@@ -265,7 +271,9 @@ def _check_size(f: RatFunc, offset: int, k: int = 1, outer: int = 0) -> None:
     cleared by the k-th power of f's common denominator, have at most
     k*bits + (k-1)*log2(monomials) bits, bits those of f's cleared ones.
     In two-variable mode f is one coefficient of a value of degree `outer`
-    in the main variable, which counts towards the degree and monomials."""
+    in the main variable, which counts towards the degree and monomials; it
+    is measured here, after it is reduced, only when :func:`_proved_within`
+    cannot admit it from its unreduced form."""
     coeffs = f.num.coeffs + f.den.coeffs
     # lists, not generators: over many lines they leave a lower memory peak
     common = lcm(*[c.denominator for c in coeffs])
@@ -337,76 +345,155 @@ def parse_polynomial(text: str, variable: str) -> Poly:
 
 # Two-variable mode, used only by the degree-bound subcommand: a polynomial in
 # `main` whose coefficients are rational functions in `coeff`.  Values are
-# coefficient lists indexed by the main-variable power; the size budget bounds
-# that list's degree and each coefficient's.
+# coefficient lists indexed by the main-variable power.  While the tree is
+# folded each coefficient is an unreduced pair (num, den) of integer
+# coefficient lists in `coeff`, zero being ([], [1]); no gcd runs until a
+# coefficient's size needs one, and each becomes a canonical RatFunc at the
+# end.  Lists inside pairs are shared between values and never mutated.
+
+_ZERO = ([], [1])
+_ONE = ([1], [1])
 
 
-def _check_bivar_size(cs: list[RatFunc], offset: int, k: int = 1) -> None:
-    for c in cs:
-        _check_size(c, offset, k, len(cs) - 1)
+def _int_add(a: list[int], b: list[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _int_trim(out)
 
 
-def _bi_mul(a: list[RatFunc], b: list[RatFunc], coeff: str) -> list[RatFunc]:
+def _pair_add(a: tuple, b: tuple) -> tuple:
+    (an, ad), (bn, bd) = a, b
+    if not an:
+        return b
+    if not bn:
+        return a
+    if ad == bd:
+        num, den = _int_add(an, bn), ad
+    else:
+        num, den = _int_add(_int_mul(an, bd), _int_mul(bn, ad)), _int_mul(ad, bd)
+    return (num, den) if num else _ZERO
+
+
+def _pair_mul(a: tuple, b: tuple) -> tuple:
+    (an, ad), (bn, bd) = a, b
+    if not an or not bn:
+        return _ZERO
+    return _int_mul(an, bn), _int_mul(ad, bd)
+
+
+def _coefficient(pair: tuple, coeff: str) -> RatFunc:
+    return RatFunc(Poly(coeff, pair[0]), Poly(coeff, pair[1]))
+
+
+def _size_bound(pair: tuple) -> tuple[int, int]:
+    """Bounds on the degree and on the widest cleared coefficient's bit
+    length of the canonical value of `pair`, read off the unreduced pair.
+
+    Cleared, the canonical numerator and denominator are integer factors of
+    num and den, so their degree is at most the larger of deg num and
+    deg den, and by Mignotte's bound (Math. Comp. 28, 1974) a coefficient of
+    a factor of a degree-d integer polynomial has at most
+    d + (d+1).bit_length() + 1 bits more than that polynomial's widest."""
+    num, den = pair
+    inner = max(len(num), len(den)) - 1
+    widest = max([abs(c) for c in num + den])
+    return inner, widest.bit_length() + inner + (inner + 1).bit_length() + 1
+
+
+def _proved_within(pair: tuple, k: int, outer: int) -> bool:
+    """Whether :func:`_check_size` provably admits the k-th power of the
+    canonical value of `pair`: its measure, taken on the bounds above."""
+    inner, bits = _size_bound(pair)
+    monomials = (outer + 1) * (inner + 1)
+    return (k * max(inner, outer) <= MAX_DEGREE and
+            k * bits + (k - 1) * (monomials - 1).bit_length() < _COEFFICIENT_BITS)
+
+
+def _normalise_unproved(cs: list, coeff: str, k: int = 1) -> list[RatFunc]:
+    """Reduce in place each coefficient of cs whose k-th power
+    :func:`_proved_within` does not admit; returns them as RatFuncs."""
+    reduced = []
+    for i, pair in enumerate(cs):
+        if not _proved_within(pair, k, len(cs) - 1):
+            f = _coefficient(pair, coeff)
+            ints, _ = _cleared(f.num.coeffs + f.den.coeffs)
+            cs[i] = ints[:len(f.num.coeffs)], ints[len(f.num.coeffs):]
+            reduced.append(f)
+    return reduced
+
+
+def _check_bivar_size(cs: list, offset: int, coeff: str, k: int = 1) -> None:
+    for f in _normalise_unproved(cs, coeff, k):
+        _check_size(f, offset, k, len(cs) - 1)
+
+
+def _bi_mul(a: list, b: list) -> list:
     if not a or not b:
         return []
-    out = [RatFunc.zero(coeff) for _ in range(len(a) + len(b) - 1)]
+    out = [_ZERO] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         for j, cb in enumerate(b):
-            out[i + j] = out[i + j] + ca * cb
+            out[i + j] = _pair_add(out[i + j], _pair_mul(ca, cb))
     return _bi_trim(out)
 
 
-def _bi_trim(cs: list[RatFunc]) -> list[RatFunc]:
-    while cs and cs[-1].is_zero():
+def _bi_trim(cs: list) -> list:
+    while cs and not cs[-1][0]:
         cs.pop()
     return cs
 
 
-def _bi_add(a: list[RatFunc], b: list[RatFunc], negate: bool) -> list[RatFunc]:
+def _bi_add(a: list, b: list, negate: bool) -> list:
     out = list(a)
-    for i, c in enumerate(b):
-        term = -c if negate else c
+    for i, (num, den) in enumerate(b):
+        term = ([-c for c in num], den) if negate else (num, den)
         if i < len(out):
-            out[i] = out[i] + term
+            out[i] = _pair_add(out[i], term)
         else:
             out.append(term)
     return _bi_trim(out)
 
 
-def _eval_bivar(node: Node, main: str, coeff: str) -> list[RatFunc]:
+def _eval_bivar(node: Node, main: str, coeff: str) -> list:
     if isinstance(node, BinaryOp):
         return _fold_chain(node, lambda n: _eval_bivar(n, main, coeff),
                            lambda *args: _combine_bivar(*args, main, coeff))
     if isinstance(node, Number):
-        return _bi_trim([RatFunc.const(coeff, node.value)])
+        return [([node.value], [1])] if node.value else []
     if isinstance(node, Variable):
         if node.name == main:
-            return [RatFunc.zero(coeff), RatFunc.const(coeff, 1)]
+            return [_ZERO, _ONE]
         if node.name == coeff:
-            return [RatFunc.gen(coeff)]
+            return [([0, 1], [1])]
         raise ParseError(f"unknown variable {node.name!r} "
                          f"(expected {main!r} or {coeff!r})", node.offset)
     if isinstance(node, Negate):
-        return [-c for c in _eval_bivar(node.operand, main, coeff)]
+        return [([-c for c in num], den)
+                for num, den in _eval_bivar(node.operand, main, coeff)]
     base = _eval_bivar(node.base, main, coeff)
-    _check_bivar_size(base, node.offset, node.exponent)
-    result: list[RatFunc] = [RatFunc.const(coeff, 1)]
+    _check_bivar_size(base, node.offset, coeff, node.exponent)
+    result = [_ONE]
     for _ in range(node.exponent):
-        result = _bi_mul(result, base, coeff)
+        result = _bi_mul(result, base)
+        # keeps partial powers small; only the formed power may be refused
+        _normalise_unproved(result, coeff)
     # a coefficient of the power sums products of different coefficients,
     # whose denominators the prediction from base does not combine
-    _check_bivar_size(result, node.offset)
+    _check_bivar_size(result, node.offset, coeff)
     return result
 
 
-def _combine_bivar(node: BinaryOp, left: list[RatFunc], right: list[RatFunc],
-                   main: str, coeff: str) -> list[RatFunc]:
+def _combine_bivar(node: BinaryOp, left: list, right: list,
+                   main: str, coeff: str) -> list:
     if node.op == "add":
         value = _bi_add(left, right, negate=False)
     elif node.op == "sub":
         value = _bi_add(left, right, negate=True)
     elif node.op == "mul":
-        value = _bi_mul(left, right, coeff)
+        value = _bi_mul(left, right)
     elif len(right) > 1:
         raise ParseError(f"cannot divide by an expression containing {main!r}",
                          node.offset)
@@ -414,15 +501,17 @@ def _combine_bivar(node: BinaryOp, left: list[RatFunc], right: list[RatFunc],
         raise ParseError("division by an expression that is identically zero",
                          node.offset)
     else:
-        value = [c / right[0] for c in left]
-    _check_bivar_size(value, node.offset)
+        num, den = right[0]
+        value = [_pair_mul(c, (den, num)) for c in left]
+    _check_bivar_size(value, node.offset, coeff)
     return value
 
 
 def parse_poly_over_coeff_field(text: str, main: str, coeff: str) -> list[RatFunc]:
     """Parse a polynomial in `main` with coefficients in Q(`coeff`); returns
     the coefficient list indexed by power of `main` (empty list = zero)."""
-    return _eval_bivar(parse_tree(tokenize(text)), main, coeff)
+    return [_coefficient(pair, coeff)
+            for pair in _eval_bivar(parse_tree(tokenize(text)), main, coeff)]
 
 
 # -- rendering ------------------------------------------------------------

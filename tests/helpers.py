@@ -11,7 +11,9 @@ import random
 from fractions import Fraction
 
 from liouvillian.algebra import Poly, RatFunc, gcd
-from liouvillian.parser import render
+from liouvillian import parser
+from liouvillian.parser import (BinaryOp, Negate, Number, ParseError, Variable,
+                                render)
 from liouvillian.verify import VerificationReport
 
 
@@ -155,3 +157,89 @@ def check_leibniz(f: RatFunc, g: RatFunc) -> VerificationReport:
     residual = (f * g).diff() - f.diff() * g - f * g.diff()
     identity = f"d[{render(f)} * {render(g)}] = d[{render(f)}]*{render(g)} + {render(f)}*d[{render(g)}]"
     return VerificationReport(identity, residual.is_zero(), render(residual))
+
+
+# The two-variable parse folded in canonical RatFunc arithmetic, one gcd per
+# coefficient sum and product: the reference for parse_poly_over_coeff_field,
+# which folds unreduced integer pairs.  Budget checks run at the same points
+# and through the same parser._check_size.
+
+
+def reference_poly_over_coeff_field(text: str, main: str, coeff: str) -> list[RatFunc]:
+    return _ref_eval_bivar(parser.parse_tree(parser.tokenize(text)), main, coeff)
+
+
+def _ref_check_bivar_size(cs: list[RatFunc], offset: int, k: int = 1) -> None:
+    for c in cs:
+        parser._check_size(c, offset, k, len(cs) - 1)
+
+
+def _ref_bi_mul(a: list[RatFunc], b: list[RatFunc], coeff: str) -> list[RatFunc]:
+    if not a or not b:
+        return []
+    out = [RatFunc.zero(coeff) for _ in range(len(a) + len(b) - 1)]
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] = out[i + j] + ca * cb
+    return _ref_bi_trim(out)
+
+
+def _ref_bi_trim(cs: list[RatFunc]) -> list[RatFunc]:
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return cs
+
+
+def _ref_bi_add(a: list[RatFunc], b: list[RatFunc], negate: bool) -> list[RatFunc]:
+    out = list(a)
+    for i, c in enumerate(b):
+        term = -c if negate else c
+        if i < len(out):
+            out[i] = out[i] + term
+        else:
+            out.append(term)
+    return _ref_bi_trim(out)
+
+
+def _ref_eval_bivar(node, main: str, coeff: str) -> list[RatFunc]:
+    if isinstance(node, BinaryOp):
+        return parser._fold_chain(node, lambda n: _ref_eval_bivar(n, main, coeff),
+                                  lambda *args: _ref_combine_bivar(*args, main, coeff))
+    if isinstance(node, Number):
+        return _ref_bi_trim([RatFunc.const(coeff, node.value)])
+    if isinstance(node, Variable):
+        if node.name == main:
+            return [RatFunc.zero(coeff), RatFunc.const(coeff, 1)]
+        if node.name == coeff:
+            return [RatFunc.gen(coeff)]
+        raise ParseError(f"unknown variable {node.name!r} "
+                         f"(expected {main!r} or {coeff!r})", node.offset)
+    if isinstance(node, Negate):
+        return [-c for c in _ref_eval_bivar(node.operand, main, coeff)]
+    base = _ref_eval_bivar(node.base, main, coeff)
+    _ref_check_bivar_size(base, node.offset, node.exponent)
+    result: list[RatFunc] = [RatFunc.const(coeff, 1)]
+    for _ in range(node.exponent):
+        result = _ref_bi_mul(result, base, coeff)
+    _ref_check_bivar_size(result, node.offset)
+    return result
+
+
+def _ref_combine_bivar(node, left: list[RatFunc], right: list[RatFunc],
+                       main: str, coeff: str) -> list[RatFunc]:
+    if node.op == "add":
+        value = _ref_bi_add(left, right, negate=False)
+    elif node.op == "sub":
+        value = _ref_bi_add(left, right, negate=True)
+    elif node.op == "mul":
+        value = _ref_bi_mul(left, right, coeff)
+    elif len(right) > 1:
+        raise ParseError(f"cannot divide by an expression containing {main!r}",
+                         node.offset)
+    elif not right:
+        raise ParseError("division by an expression that is identically zero",
+                         node.offset)
+    else:
+        value = [c / right[0] for c in left]
+    _ref_check_bivar_size(value, node.offset)
+    return value

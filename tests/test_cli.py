@@ -117,15 +117,18 @@ class TestExitCodes:
         assert run_cli(["abel", "--coeffs", "1/x"])[0] == 2
         assert run_cli(["degbound", "0"])[0] == 2
 
-    @pytest.mark.parametrize("procedure", ["autonomous", "square", "degbound"])
+    @pytest.mark.parametrize("procedure", ["autonomous", "square", "degbound",
+                                           "degbound --coeff-field qx"])
     def test_exponent_over_the_bound_is_two(self, procedure, monkeypatch):
         def no_power(*args):
             raise AssertionError("a power was formed")
 
         monkeypatch.setattr(RatFunc, "__pow__", no_power)
         monkeypatch.setattr(Poly, "__pow__", no_power)
+        # the product kernel of the two-variable power loop
+        monkeypatch.setattr(parser, "_int_mul", no_power)
         literal = MAX_EXPONENT + 1
-        code, payload, _ = run_cli([procedure, f"y^{literal} + 1", "--json"])
+        code, payload, _ = run_cli([*procedure.split(), f"y^{literal} + 1", "--json"])
         assert code == 2
         (report,) = validate_lines(payload)
         assert report["status"] == "error"
@@ -191,6 +194,26 @@ class TestExitCodes:
         assert report["error"] == (
             f"resource limit: subexpression at offset 37 has degree 65, above the "
             f"bound MAX_DEGREE = {MAX_DEGREE} (stage: parse)")
+
+    @pytest.mark.parametrize("text,reduced", [
+        # the unreduced base coefficient has degree 40, its square 80
+        ("((x+1)^40/(x+1)^39*y)^2", RatFunc(Poly("x", (1, 1)))),
+        # the cheap bound on the square is about 26.6k bits; the base is x*y
+        ("(1" + "0" * 4000 + "*x*y/1" + "0" * 4000 + ")^2", RatFunc.gen("x")),
+    ], ids=["degree", "bits"])
+    def test_two_variable_value_reduced_when_the_cheap_bound_fails(
+            self, text, reduced, monkeypatch):
+        measured = []
+        check = parser._check_size
+        monkeypatch.setattr(parser, "_check_size",
+                            lambda f, *args: measured.append(f) or check(f, *args))
+        code, payload, _ = run_cli(["degbound", text, "--coeff-field", "qx", "--json"])
+        assert code == 0
+        (report,) = validate_lines(payload)
+        assert report["status"] == "inconclusive"
+        assert report["details"]["degree"] == 2
+        # the base was reduced and measured exactly, and then passed
+        assert reduced in measured
 
     def test_failed_check_without_verify_is_three(self, monkeypatch):
         failed = verify.VerificationReport("(y')^2 = 1 - y^2 with y = ...", False, "1")

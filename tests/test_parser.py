@@ -5,15 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from liouvillian.algebra import Poly, RatFunc, ResourceLimitError
+from liouvillian.algebra import Poly, RatFunc, ResourceLimitError, _cleared, _int_mul
 from liouvillian.parser import (MAX_COEFFICIENT_DIGITS, MAX_DEGREE, MAX_EXPONENT,
                                 MAX_LITERAL_DIGITS, MAX_NESTING,
                                 ParseError, parse,
                                 parse_expression, parse_tree,
                                 parse_poly_over_coeff_field, parse_polynomial,
                                 render, render_poly, tokenize)
+from liouvillian.parser import _size_bound
 
-from helpers import rand_ratfunc
+from helpers import rand_ratfunc, reference_poly_over_coeff_field
 
 Y = Poly.gen("y")
 
@@ -206,6 +207,112 @@ class TestTwoVariableMode:
     def test_unknown_variable(self):
         with pytest.raises(ParseError, match="expected"):
             parse_poly_over_coeff_field("z + y", "y", "x")
+
+
+def _outcome(parse_fn, text):
+    try:
+        return parse_fn(text, "y", "x")
+    except (ParseError, ResourceLimitError) as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+def _random_bivar_text(rng: random.Random, depth: int, with_y: bool = True) -> str:
+    """A random expression in x and (if with_y) y; divisors are y-free,
+    except now and then, to reach the error path."""
+    if depth == 0 or rng.random() < 0.2:
+        leaves = ["x", str(rng.randint(0, 3)), str(rng.randint(0, 12)),
+                  f"(x-{rng.randint(1, 3)})", f"{rng.randint(1, 5)}/{rng.randint(1, 7)}"]
+        return rng.choice(leaves + ["y", "y"] if with_y else leaves)
+    kind = rng.choice(["+", "-", "*", "/", "^", "neg", "chain"])
+    operand = _random_bivar_text(rng, depth - 1, with_y)
+    if kind == "neg":
+        return f"-{operand}" if rng.random() < 0.5 else f"-({operand})"
+    if kind == "^":
+        # high powers of small operands reach the budget
+        return f"({operand})^{rng.randint(0, 4) if depth > 1 else rng.choice([0, 9, 17])}"
+    if kind == "/":
+        divisor = _random_bivar_text(rng, depth - 1, with_y and rng.random() < 0.05)
+        return f"({operand})/({divisor})"
+    if kind == "chain":
+        terms = [operand] + [_random_bivar_text(rng, depth - 1, with_y)
+                             for _ in range(rng.randint(1, 3))]
+        return "".join(f"{rng.choice('+-*')}{t}" if i else t for i, t in enumerate(terms))
+    return f"({operand}){kind}({_random_bivar_text(rng, depth - 1, with_y)})"
+
+
+_WIDE = "1" + "0" * 4000
+
+
+class TestTwoVariableAgainstReference:
+    """The unreduced-pair fold against the canonical RatFunc fold of
+    tests/helpers.py: equal coefficients, or the same error, message and
+    offset."""
+
+    @pytest.mark.parametrize("text", ids=lambda text: text[:60], argvalues=[
+        # cancellation, repeated and distinct denominators, zero results
+        "(x-1)/(x-1)*y", "y*(x-1)/(x-1)", "(x^2-1)/(x-1) - (x+1)", "x*y - y*x",
+        "1/(x-1) + 1/(x-1)", "1/(x-1) + 1/(x-2) - 1/(x-1)", "1/(x-1)^2 - 1/(x-1)^2 + y",
+        "(y/(x-1) + y/(x+1))*(x^2-1) - 2*x*y", "(x+1)/(2*x+2)*y^2", "(6*x+4)/(9*x+6)*y",
+        # powers, zero exponents, division by y-free values, negation
+        "0^0", "0^0*y", "(x-x)^0", "y^0", "(x*y+1)^3/(x^2-4)", "y/(2*x)/(3/x)",
+        "-(-(y))", "-y^2/(x+1)", "--x*-y", "(y - y)^3", "((x-1)*y/(x+1))^4",
+        # division and syntax errors
+        "x/y", "y/(x-x)", "y/0", "(y+1)/(y-y)", "z+y", "x*+y", "(x+y", "y^-1",
+        "y^x", "x^2^3", "", "y $ 2", "(x+1)^1001",
+        # budgets
+        "(x^2+3/7*x+y)^200", "(x+1)^1000*y^3", "(x+1)^64*y", "(x+1)^65*y",
+        "y^64", "y^65", "y^64*x", "1/(1/x^64 + x)*y", "y^32*x^33",
+        "(1/(x-1)^5 + y/(x-2)^5 + y^2/(x-3)^5)^6",
+        "(1/(x-1)^5 + y/(x-2)^5 + y^2/(x-3)^5)^7",
+        "(1/(x-1)^5 + y/(x-2)^5 + y^2/(x-3)^5)^8",
+        "((x+1)^40/(x+1)^39*y)^2", f"({_WIDE}*x*y/{_WIDE})^2",
+        f"({_WIDE}*x*y/{_WIDE})^3*{_WIDE}", f"({_WIDE}*x*y + 1)^2",
+        "(x+" + "9" * 4000 + ")^2*y", "(10^1000)^4*10^299*x*y", "(10^1000)^4*10^300*x*y",
+        "9" * 4300 + "*y/x + " + "9" * 4300, "x*y + " + "1" * 5000,
+    ])
+    def test_edge_cases(self, text):
+        assert _outcome(parse_poly_over_coeff_field, text) == \
+            _outcome(reference_poly_over_coeff_field, text)
+
+    def test_random_trees(self):
+        rng = random.Random(2718)
+        outcomes = set()
+        for _ in range(600):
+            text = _random_bivar_text(rng, 4)
+            got = _outcome(parse_poly_over_coeff_field, text)
+            assert got == _outcome(reference_poly_over_coeff_field, text), text
+            outcomes.add(got[0] if isinstance(got, tuple) else len(got) > 2)
+        # the corpus reaches both error types and polynomials of degree > 1
+        assert {ParseError, ResourceLimitError, True, False} <= outcomes
+
+    def test_size_bound_covers_the_canonical_value(self):
+        """Degree and cleared bits of num/den in lowest terms are within
+        _size_bound of the unreduced pair (A*G, B*G)."""
+        rng = random.Random(1974)
+
+        def rand_ints(degree, bits):
+            cs = [rng.randint(-2**bits, 2**bits) for _ in range(degree)]
+            return cs + [rng.choice([-1, 1]) * rng.randint(1, 2**bits)]
+
+        def x_power_minus_one(n):
+            return [-1] + [0] * (n - 1) + [1]
+
+        # in lowest terms the numerator is the cyclotomic polynomial of order
+        # 105, whose coefficients are wider than those of x^105 - 1
+        pairs = [(x_power_minus_one(105),
+                  _int_mul(_int_mul(x_power_minus_one(35), x_power_minus_one(21)),
+                           x_power_minus_one(15)))]
+        for _ in range(300):
+            bits = rng.choice([1, 3, 20, 60])
+            g = rand_ints(rng.randint(0, 6), rng.choice([1, bits]))
+            a, b = rand_ints(rng.randint(0, 5), bits), rand_ints(rng.randint(0, 5), bits)
+            pairs.append((_int_mul(a, g), _int_mul(b, g)))
+        for num, den in pairs:
+            inner, bits = _size_bound((num, den))
+            f = RatFunc(Poly("x", num), Poly("x", den))
+            ints, _ = _cleared(f.num.coeffs + f.den.coeffs)
+            assert max(len(f.num.coeffs), len(f.den.coeffs)) - 1 <= inner
+            assert max(abs(c) for c in ints).bit_length() <= bits
 
 
 class TestRender:
