@@ -138,9 +138,6 @@ class Poly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             k = Fraction(other)
@@ -624,11 +621,6 @@ class RatFunc:
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
 
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("rational function is not constant")
-        return self.num.constant_value()
-
     def is_proper(self) -> bool:
         if self.num.is_zero():
             return True
@@ -670,9 +662,6 @@ class RatFunc:
         if other is None:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -717,12 +706,6 @@ class RatFunc:
         """self = polynomial part + proper remainder fraction."""
         q, r = self.num.divrem(self.den)
         return q, RatFunc(r, self.den)
-
-    def __call__(self, point):
-        denom = self.den(point)
-        if isinstance(denom, Fraction) and denom == 0:
-            raise ZeroDivisionError("evaluation at a pole")
-        return self.num(point) / denom
 
     def __repr__(self) -> str:
         return f"RatFunc({self.num!r}, {self.den!r})"

@@ -15,17 +15,20 @@ is formed; so is an integer literal of more than :data:`MAX_LITERAL_DIGITS`
 significant digits, raised before it is converted, and a subexpression whose
 value would pass :data:`MAX_DEGREE` or :data:`MAX_COEFFICIENT_DIGITS`, raised
 before any power of it is formed and after each sum, difference, product or
-quotient, so that no decision procedure sees it.  In the two-variable mode
-of :func:`parse_poly_over_coeff_field` the coefficients in Q(x) stay
-unreduced while the tree is folded.  At those points a cheap bound on each
+quotient, so that no decision procedure sees it.  While the tree is folded,
+rational coefficients stay unreduced pairs of integer polynomials, and each is
+reduced once, at the end.  At the points above a cheap bound on each
 unreduced coefficient is measured, and a coefficient is reduced and measured
 exactly only when that bound does not prove it within the budget, so the
-same inputs pass; after each multiplication of a power such a coefficient is
-reduced too, which keeps partial powers small.  Parentheses and unary
-minus nest at most :data:`MAX_NESTING` deep (deeper input is a
-:class:`ParseError`); sums and products may be of any length.  Rational
-constants are written with ``/`` ("3/2" is exact integer division).  Exactly
-one variable is allowed per expression; the consuming subcommand declares it.
+inputs that pass are those whose reduced values are within it; after each
+multiplication of a power such a coefficient is reduced too, which keeps
+partial powers small.  Parentheses and unary minus nest at most
+:data:`MAX_NESTING` deep (deeper input is a :class:`ParseError`); sums and
+products may be of any length.  Rational constants are written with ``/``
+("3/2" is exact integer division).  Exactly one variable is allowed per
+expression, declared by the consuming subcommand, except in
+:func:`parse_poly_over_coeff_field`: a polynomial in a main variable with
+coefficients in Q of a second one.
 
 :func:`render` is the inverse printer: its output re-parses to the same
 canonical value, byte for byte.
@@ -270,8 +273,8 @@ def _check_size(f: RatFunc, offset: int, k: int = 1, outer: int = 0) -> None:
     from f: f^k is num^k/den^k, of degree k*deg f, and its coefficients,
     cleared by the k-th power of f's common denominator, have at most
     k*bits + (k-1)*log2(monomials) bits, bits those of f's cleared ones.
-    In two-variable mode f is one coefficient of a value of degree `outer`
-    in the main variable, which counts towards the degree and monomials; it
+    f is one coefficient of a value of degree `outer` in the main variable
+    (0 when there is none), which counts towards the degree and monomials; it
     is measured here, after it is reduced, only when :func:`_proved_within`
     cannot admit it from its unreduced form."""
     coeffs = f.num.coeffs + f.den.coeffs
@@ -293,63 +296,15 @@ def _check_size(f: RatFunc, offset: int, k: int = 1, outer: int = 0) -> None:
     raise ResourceLimitError(f"subexpression at offset {offset} has {limit} (stage: parse)")
 
 
-def _combine_single(node: BinaryOp, left: RatFunc, right: RatFunc) -> RatFunc:
-    if node.op == "add":
-        value = left + right
-    elif node.op == "sub":
-        value = left - right
-    elif node.op == "mul":
-        value = left * right
-    elif right.is_zero():
-        raise ParseError("division by an expression that is identically zero",
-                         node.offset)
-    else:
-        value = left / right
-    _check_size(value, node.offset)
-    return value
-
-
-def _eval_single(node: Node, variable: str) -> RatFunc:
-    if isinstance(node, BinaryOp):
-        return _fold_chain(node, lambda n: _eval_single(n, variable), _combine_single)
-    if isinstance(node, Number):
-        return RatFunc.const(variable, node.value)
-    if isinstance(node, Variable):
-        if node.name != variable:
-            raise ParseError(f"unknown variable {node.name!r} (expected {variable!r})",
-                             node.offset)
-        return RatFunc.gen(variable)
-    if isinstance(node, Negate):
-        return -_eval_single(node.operand, variable)
-    base = _eval_single(node.base, variable)
-    _check_size(base, node.offset, node.exponent)
-    return base**node.exponent
-
-
-def parse(tokens: list[Token], variable: str) -> RatFunc:
-    """Parse a token stream into a canonical rational function in `variable`."""
-    return _eval_single(parse_tree(tokens), variable)
-
-
-def parse_expression(text: str, variable: str) -> RatFunc:
-    return parse(tokenize(text), variable)
-
-
-def parse_polynomial(text: str, variable: str) -> Poly:
-    value = parse_expression(text, variable)
-    if not value.is_polynomial():
-        raise ParseError(f"expected a polynomial in {variable!r}, "
-                         "got a nontrivial denominator", 0)
-    return value.as_poly()
-
-
-# Two-variable mode, used only by the degree-bound subcommand: a polynomial in
-# `main` whose coefficients are rational functions in `coeff`.  Values are
-# coefficient lists indexed by the main-variable power.  While the tree is
-# folded each coefficient is an unreduced pair (num, den) of integer
-# coefficient lists in `coeff`, zero being ([], [1]); no gcd runs until a
-# coefficient's size needs one, and each becomes a canonical RatFunc at the
-# end.  Lists inside pairs are shared between values and never mutated.
+# A value is a polynomial in the main variable whose coefficients are
+# rational functions in `coeff`: a coefficient list indexed by the
+# main-variable power.  Only the degree-bound subcommand declares a main
+# variable; every other parse has none, and its value is a list of at most one
+# coefficient.  While the tree is folded each coefficient is an unreduced pair
+# (num, den) of integer coefficient lists in `coeff`, zero being ([], [1]); no
+# gcd runs until a coefficient's size needs one, and each becomes a canonical
+# RatFunc at the end.  Lists inside pairs are shared between values and never
+# mutated.
 
 _ZERO = ([], [1])
 _ONE = ([1], [1])
@@ -457,7 +412,7 @@ def _bi_add(a: list, b: list, negate: bool) -> list:
     return _bi_trim(out)
 
 
-def _eval_bivar(node: Node, main: str, coeff: str) -> list:
+def _eval_bivar(node: Node, main: str | None, coeff: str) -> list:
     if isinstance(node, BinaryOp):
         return _fold_chain(node, lambda n: _eval_bivar(n, main, coeff),
                            lambda *args: _combine_bivar(*args, main, coeff))
@@ -468,8 +423,9 @@ def _eval_bivar(node: Node, main: str, coeff: str) -> list:
             return [_ZERO, _ONE]
         if node.name == coeff:
             return [([0, 1], [1])]
-        raise ParseError(f"unknown variable {node.name!r} "
-                         f"(expected {main!r} or {coeff!r})", node.offset)
+        expected = f"{main!r} or {coeff!r}" if main else repr(coeff)
+        raise ParseError(f"unknown variable {node.name!r} (expected {expected})",
+                         node.offset)
     if isinstance(node, Negate):
         return [([-c for c in num], den)
                 for num, den in _eval_bivar(node.operand, main, coeff)]
@@ -487,7 +443,7 @@ def _eval_bivar(node: Node, main: str, coeff: str) -> list:
 
 
 def _combine_bivar(node: BinaryOp, left: list, right: list,
-                   main: str, coeff: str) -> list:
+                   main: str | None, coeff: str) -> list:
     if node.op == "add":
         value = _bi_add(left, right, negate=False)
     elif node.op == "sub":
@@ -505,6 +461,26 @@ def _combine_bivar(node: BinaryOp, left: list, right: list,
         value = [_pair_mul(c, (den, num)) for c in left]
     _check_bivar_size(value, node.offset, coeff)
     return value
+
+
+def parse(tokens: list[Token], variable: str) -> RatFunc:
+    """Parse a token stream into a canonical rational function in `variable`:
+    the two-variable fold with no main variable, whose one coefficient is
+    reduced once, at the end."""
+    cs = _eval_bivar(parse_tree(tokens), None, variable)
+    return _coefficient(cs[0] if cs else _ZERO, variable)
+
+
+def parse_expression(text: str, variable: str) -> RatFunc:
+    return parse(tokenize(text), variable)
+
+
+def parse_polynomial(text: str, variable: str) -> Poly:
+    value = parse_expression(text, variable)
+    if not value.is_polynomial():
+        raise ParseError(f"expected a polynomial in {variable!r}, "
+                         "got a nontrivial denominator", 0)
+    return value.as_poly()
 
 
 def parse_poly_over_coeff_field(text: str, main: str, coeff: str) -> list[RatFunc]:

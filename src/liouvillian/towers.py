@@ -43,9 +43,6 @@ class QuadValue:
     def constant(cls, var: str, base, lam_part=0) -> QuadValue:
         return cls(RatFunc.const(var, base), RatFunc.const(var, lam_part))
 
-    def is_zero(self) -> bool:
-        return self.base.is_zero() and self.lam_part.is_zero()
-
 
 @dataclass(frozen=True)
 class Generator:

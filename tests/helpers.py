@@ -159,6 +159,50 @@ def check_leibniz(f: RatFunc, g: RatFunc) -> VerificationReport:
     return VerificationReport(identity, residual.is_zero(), render(residual))
 
 
+# The one-variable parse folded in canonical RatFunc arithmetic, one gcd per
+# sum, difference, product and quotient: the reference for parse_expression,
+# which folds an unreduced integer pair.  Budget checks run at the same points
+# and through the same parser._check_size.
+
+
+def reference_parse(text: str, variable: str) -> RatFunc:
+    return _ref_eval_single(parser.parse_tree(parser.tokenize(text)), variable)
+
+
+def _ref_combine_single(node, left: RatFunc, right: RatFunc) -> RatFunc:
+    if node.op == "add":
+        value = left + right
+    elif node.op == "sub":
+        value = left - right
+    elif node.op == "mul":
+        value = left * right
+    elif right.is_zero():
+        raise ParseError("division by an expression that is identically zero",
+                         node.offset)
+    else:
+        value = left / right
+    parser._check_size(value, node.offset)
+    return value
+
+
+def _ref_eval_single(node, variable: str) -> RatFunc:
+    if isinstance(node, BinaryOp):
+        return parser._fold_chain(node, lambda n: _ref_eval_single(n, variable),
+                                  _ref_combine_single)
+    if isinstance(node, Number):
+        return RatFunc.const(variable, node.value)
+    if isinstance(node, Variable):
+        if node.name != variable:
+            raise ParseError(f"unknown variable {node.name!r} (expected {variable!r})",
+                             node.offset)
+        return RatFunc.gen(variable)
+    if isinstance(node, Negate):
+        return -_ref_eval_single(node.operand, variable)
+    base = _ref_eval_single(node.base, variable)
+    parser._check_size(base, node.offset, node.exponent)
+    return base**node.exponent
+
+
 # The two-variable parse folded in canonical RatFunc arithmetic, one gcd per
 # coefficient sum and product: the reference for parse_poly_over_coeff_field,
 # which folds unreduced integer pairs.  Budget checks run at the same points

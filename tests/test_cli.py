@@ -158,6 +158,8 @@ class TestExitCodes:
 
         monkeypatch.setattr(RatFunc, "__pow__", no_power)
         monkeypatch.setattr(Poly, "__pow__", no_power)
+        # the product kernel of the power loop
+        monkeypatch.setattr(parser, "_int_mul", no_power)
         code, payload, _ = run_cli(["autonomous", text, "--json"])
         assert code == 2
         (report,) = validate_lines(payload)

@@ -14,7 +14,7 @@ from liouvillian.parser import (MAX_COEFFICIENT_DIGITS, MAX_DEGREE, MAX_EXPONENT
                                 render, render_poly, tokenize)
 from liouvillian.parser import _size_bound
 
-from helpers import rand_ratfunc, reference_poly_over_coeff_field
+from helpers import rand_ratfunc, reference_parse, reference_poly_over_coeff_field
 
 Y = Poly.gen("y")
 
@@ -209,9 +209,9 @@ class TestTwoVariableMode:
             parse_poly_over_coeff_field("z + y", "y", "x")
 
 
-def _outcome(parse_fn, text):
+def _outcome(parse_fn, *args):
     try:
-        return parse_fn(text, "y", "x")
+        return parse_fn(*args)
     except (ParseError, ResourceLimitError) as exc:
         return type(exc), str(exc), getattr(exc, "offset", None)
 
@@ -271,16 +271,16 @@ class TestTwoVariableAgainstReference:
         "9" * 4300 + "*y/x + " + "9" * 4300, "x*y + " + "1" * 5000,
     ])
     def test_edge_cases(self, text):
-        assert _outcome(parse_poly_over_coeff_field, text) == \
-            _outcome(reference_poly_over_coeff_field, text)
+        assert _outcome(parse_poly_over_coeff_field, text, "y", "x") == \
+            _outcome(reference_poly_over_coeff_field, text, "y", "x")
 
     def test_random_trees(self):
         rng = random.Random(2718)
         outcomes = set()
         for _ in range(600):
             text = _random_bivar_text(rng, 4)
-            got = _outcome(parse_poly_over_coeff_field, text)
-            assert got == _outcome(reference_poly_over_coeff_field, text), text
+            got = _outcome(parse_poly_over_coeff_field, text, "y", "x")
+            assert got == _outcome(reference_poly_over_coeff_field, text, "y", "x"), text
             outcomes.add(got[0] if isinstance(got, tuple) else len(got) > 2)
         # the corpus reaches both error types and polynomials of degree > 1
         assert {ParseError, ResourceLimitError, True, False} <= outcomes
@@ -313,6 +313,69 @@ class TestTwoVariableAgainstReference:
             ints, _ = _cleared(f.num.coeffs + f.den.coeffs)
             assert max(len(f.num.coeffs), len(f.den.coeffs)) - 1 <= inner
             assert max(abs(c) for c in ints).bit_length() <= bits
+
+
+def _random_single_text(rng: random.Random, depth: int) -> str:
+    """A random expression in y; now and then a divisor is zero, a variable
+    unknown, a literal wide or an exponent high, to reach the error paths."""
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.01:
+            return "x"
+        return rng.choice(["y", "y", str(rng.randint(0, 3)), f"(y-{rng.randint(1, 3)})",
+                           f"{rng.randint(1, 5)}/{rng.randint(1, 7)}",
+                           "9" * rng.choice([20, 1000])])
+    kind = rng.choice(["+", "-", "*", "/", "^", "neg"])
+    operand = _random_single_text(rng, depth - 1)
+    if kind == "neg":
+        return f"-{operand}" if rng.random() < 0.5 else f"-({operand})"
+    if kind == "^":
+        return f"({operand})^{rng.choice([0, 1, 2, 3, 5, 9, 17, 33])}"
+    return f"({operand}){kind}({_random_single_text(rng, depth - 1)})"
+
+
+# (y + 10^n - 1)^2: the square's prediction is 2*bits + 1 against the 14,285
+# bits of MAX_COEFFICIENT_DIGITS, within it at 2,149 nines and over at 2,150
+_NINES_WITHIN, _NINES_OVER = "9" * 2149, "9" * 2150
+
+
+class TestOneVariableAgainstReference:
+    """The one-variable parse, an unreduced integer pair, against the
+    canonical RatFunc fold of tests/helpers.py: equal values, or the same
+    error, message and offset."""
+
+    @pytest.mark.parametrize("text", ids=lambda text: text[:60], argvalues=[
+        # cancellation, zero results and zero exponents
+        "(y-1)/(y-1)", "(y^2-1)/(y-1) - (y+1)", "y - y", "1/(y-1) + 1/(y-2) - 1/(y-1)",
+        "(6*y+4)/(9*y+6)", "0^0", "(y-y)^0", "y^0", "0", "-(-(y))", "--y*-y",
+        "((y^2-1)/(y-1))^3", "y/(2*y)/(3/y)",
+        # division, variable and syntax errors
+        "y/(y-y)", "y/0", "(y+1)/(y*0)", "x+y", "y*z", "(y", "y)", "y^-1", "y^2^3",
+        "", "y $ 2",
+        # budgets
+        "y^64", "y^65", "(y+1)^64", "(y+1)^1000", "y^1001", "(y^2+1)^32*y",
+        "1/(1/y^64 + y)", "(y^40/y^39)^2", f"(y+{_NINES_WITHIN})^2",
+        f"(y+{_NINES_OVER})^2", f"({_NINES_OVER}*y)^2/{_NINES_OVER}",
+        "9" * 4300, "9" * 4301, "(" * MAX_NESTING + "y" + ")" * MAX_NESTING,
+        "(" * (MAX_NESTING + 1) + "y" + ")" * (MAX_NESTING + 1),
+        "1^1000", "(9999/10001)^1000", "(123456789*y+987654321)^64",
+        # long sums, with repeated denominators
+        " + ".join(f"{i}/(y-{i % 7})" for i in range(1500)),
+        " + ".join(f"1/(y-{i % 4})^{1 + i % 3}" for i in range(200)),
+    ])
+    def test_edge_cases(self, text):
+        assert _outcome(parse_expression, text, "y") == \
+            _outcome(reference_parse, text, "y")
+
+    def test_random_trees(self):
+        rng = random.Random(1618)
+        outcomes = set()
+        for _ in range(600):
+            text = _random_single_text(rng, 4)
+            got = _outcome(parse_expression, text, "y")
+            assert got == _outcome(reference_parse, text, "y"), text
+            outcomes.add(got[0] if isinstance(got, tuple) else got.is_polynomial())
+        # the corpus reaches both error types, polynomials and fractions
+        assert {ParseError, ResourceLimitError, True, False} <= outcomes
 
 
 class TestRender:
