@@ -181,19 +181,10 @@ class Poly:
             return Poly.zero(var), Poly(var, self.coeffs)
         f, da = _cleared(self.coeffs)
         g, db = _cleared(divisor.coeffs)
-        n, lead = len(g) - 1, g[-1]
-        scale = lead**e
-        r = [c * scale for c in f]
-        quo = [0] * e
-        # Q has integer coefficients, so every quotient step divides exactly
-        for k in range(e - 1, -1, -1):
-            q = r[k + n] // lead
-            if q:
-                quo[k] = q
-                r[k:k + n] = [x - q * y for x, y in zip(r[k:k + n], g)]
+        quo, rem, scale = _int_pseudo_divrem(f, g)
         den = scale * da
         return (Poly(var, [Fraction(c * db, den) for c in quo]),
-                Poly(var, [Fraction(c, den) for c in r[:n]]))
+                Poly(var, [Fraction(c, den) for c in rem]))
 
     def exact_div(self, divisor: Poly) -> Poly:
         q, r = self.divrem(divisor)
@@ -303,13 +294,43 @@ def _prime(index: int) -> int:
 
 
 def _int_mul(fa: list[int], fb: list[int]) -> list[int]:
-    """Product of two nonzero integer coefficient lists."""
+    """Product of two integer coefficient lists; [] is zero."""
+    if not fa or not fb:
+        return []
     n = len(fb)
     out = [0] * (len(fa) + n - 1)
     for i, a in enumerate(fa):
         if a:
             out[i:i + n] = [x + a * b for x, b in zip(out[i:i + n], fb)]
     return out
+
+
+def _int_add(a: list[int], b: list[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _int_trim(out)
+
+
+def _int_pseudo_divrem(f: list[int], g: list[int]) -> tuple[list[int], list[int], int]:
+    """Pseudo-division in Z[y]: (Q, R, lc(g)^e) with lc(g)^e * f = Q*g + R,
+    e = max(deg f - deg g + 1, 0)."""
+    e = len(f) - len(g) + 1
+    if e <= 0:
+        return [], f, 1
+    n, lead = len(g) - 1, g[-1]
+    scale = lead**e
+    r = [c * scale for c in f]
+    quo = [0] * e
+    # Q has integer coefficients, so every quotient step divides exactly
+    for k in range(e - 1, -1, -1):
+        q = r[k + n] // lead
+        if q:
+            quo[k] = q
+            r[k:k + n] = [x - q * y for x, y in zip(r[k:k + n], g)]
+    return quo, _int_trim(r[:n]), scale
 
 
 def _int_trim(cs: list[int]) -> list[int]:
@@ -354,6 +375,13 @@ def _int_quotient(d: list[int], f: list[int]) -> list[int] | None:
             quo[k] = q
             r[k:k + n] = [x - q * y for x, y in zip(r[k:k + n], d)]
     return None if any(r[:n]) else quo
+
+
+def _int_exact_quotient(d: list[int], f: list[int]) -> list[int]:
+    """f / d, in Z[y] by Gauss's lemma for a primitive d dividing f over Q."""
+    if (quotient := _int_quotient(d, f)) is None:
+        raise ValueError("division is not exact")
+    return quotient
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
@@ -411,28 +439,24 @@ def _int_poly_gcd(fa: list[int], fb: list[int]) -> list[int]:
 
 
 def squarefree_decompose(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm: p = lc * prod(f_i ** m_i) with the f_i monic,
-    squarefree and pairwise coprime."""
+    """Yun's algorithm on the primitive integer form of p: p = lc *
+    prod(f_i ** m_i), the f_i monic, squarefree, pairwise coprime and listed
+    by increasing m_i; every gcd is primitive, so every division is exact."""
     if p.is_zero():
         raise ValueError("cannot decompose the zero polynomial")
     if p.is_constant():
         return []
-    whole = p.monic()
-    deriv = whole.diff()
-    g = gcd(whole, deriv)
-    if g.is_constant():
-        return [(whole, 1)]
-    c = whole.exact_div(g)
-    d = deriv.exact_div(g) - c.diff()
+    # the first step divides out gcd(p, p'), which is no factor of p
+    c = _int_clear(p)
+    d = _derivative(c)
     out: list[tuple[Poly, int]] = []
-    mult = 1
-    while not c.is_constant():
-        f = gcd(c, d)
-        c_next = c.exact_div(f)
-        d = d.exact_div(f) - c_next.diff()
-        c = c_next
-        if not f.is_constant():
-            out.append((f, mult))
+    mult = 0
+    while len(c) > 1:
+        f = c if not d else [1] if len(d) == 1 else _int_poly_gcd(c, _primitive(d))
+        c = _int_exact_quotient(f, c)
+        d = _int_add(_int_exact_quotient(f, d), [-v for v in _derivative(c)])
+        if mult and len(f) > 1:
+            out.append((Poly(p.var, [Fraction(v, f[-1]) for v in f]), mult))
         mult += 1
     return out
 

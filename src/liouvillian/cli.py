@@ -9,13 +9,16 @@ One subcommand per decision procedure::
     liouvillian antider    "<f(x)>"        rational antiderivative over Q(x)
     liouvillian logderiv   "<f(x)>"        gamma'/gamma = f for algebraic gamma
 
+An expression may begin with a minus sign, before or after the flags; an
+``abel`` list that does is attached to its flag, ``--coeffs=-1/x;1``.
+
 Flags: ``--json`` (one JSON object per input line), ``--verify`` (report the
 one check that :mod:`liouvillian.verify` makes of every emitted witness, with
 its exact residual), ``--input FILE`` (batch mode,
 '#' comments and blank lines skipped), ``--witness/--no-witness`` (witness
 rendering, on by default).
 
-Exit codes: 0 verdicts produced; 1 parse or usage error; 2 precondition
+Exit codes: 0 verdicts produced; 1 parse or usage error (``-h`` too); 2 precondition
 violation (zero right-hand side, malformed coefficient list, resource limit);
 3 internal inconsistency (an emitted witness failed its check, or any
 other unexpected exception — a bug, reported loudly on its own line while a
@@ -25,6 +28,7 @@ batch goes on).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -355,10 +359,17 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
     stderr = stderr or sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; the exit contract reserves 1.
-        return EXIT_OK if exc.code == 0 else EXIT_PARSE
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            args, extras = parser.parse_known_args(argv)
+            # argparse takes an expression with a leading minus, -y^2, for an option
+            if (len(extras) == 1 and not extras[0].startswith("--")
+                    and getattr(args, "expression", "") is None):
+                args.expression, extras = extras[0], []
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    except SystemExit:
+        # after -h or a usage error: no verdict, and the exit contract reserves 1
+        return EXIT_PARSE
     procedure = args.procedure
     single = args.coeffs if procedure == "abel" else args.expression
     if args.input is not None and single is not None:

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil, lcm, log2
 
-from .algebra import Poly, RatFunc, ResourceLimitError, _cleared, _int_mul, _int_trim
+from .algebra import Poly, RatFunc, ResourceLimitError, _cleared, _int_add, _int_mul
 
 # Parentheses plus unary minus signs open at any point of an expression.
 MAX_NESTING = 100
@@ -308,15 +308,6 @@ def _check_size(f: RatFunc, offset: int, k: int = 1, outer: int = 0) -> None:
 
 _ZERO = ([], [1])
 _ONE = ([1], [1])
-
-
-def _int_add(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return _int_trim(out)
 
 
 def _pair_add(a: tuple, b: tuple) -> tuple:

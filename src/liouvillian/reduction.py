@@ -4,7 +4,9 @@ Everything a first-order decision procedure needs to know about ``f(y)``:
 
 * Hermite reduction writes ``f = poly + g' + h`` with ``h`` proper over a
   squarefree denominator; ``f`` has a rational antiderivative iff ``h = 0``
-  (the polynomial part always integrates in characteristic zero).
+  (the polynomial part always integrates in characteristic zero).  It runs
+  over Z from one squarefree decomposition of the denominator (Bronstein,
+  *Symbolic Integration I*, §2.2).
 * The residue polynomial ``S(t)`` of a proper ``h`` with squarefree
   denominator has exactly the residues of ``h`` at its poles as roots.
   Residues are never represented as floating or algebraic numbers, only
@@ -28,8 +30,11 @@ from math import gcd as _int_gcd
 from operator import floordiv, truediv
 
 from .algebra import (InternalInconsistencyError, Poly, RatFunc,
-                      ResourceLimitError, gcd, is_squarefree, normalized_part,
-                      primitive_part, rational_roots, squarefree_decompose)
+                      ResourceLimitError, _derivative, _int_add, _int_clear,
+                      _int_exact_quotient, _int_mul, _int_pseudo_divrem,
+                      _integer_form, _primitive, gcd, is_squarefree,
+                      normalized_part, primitive_part, rational_roots,
+                      squarefree_decompose)
 from .verify import is_rational_square
 
 # W(u) has degree (deg S)^2 and is built only for the certificate of a
@@ -76,37 +81,65 @@ class HermiteParts:
     remainder: RatFunc
 
 
-def hermite_reduce(f: RatFunc) -> HermiteParts:
-    """Hermite reduction by repeated multiplicity lowering.
+def _combine(s1: Fraction, p1: list[int], s2: Fraction, p2: list[int]
+             ) -> tuple[Fraction, list[int]]:
+    """s1*p1 + s2*p2 as one scale times a primitive integer list."""
+    a, b = s1.numerator * s2.denominator, s2.numerator * s1.denominator
+    total = _int_add([c * a for c in p1], [c * b for c in p2])
+    if not total:
+        return Fraction(0), total
+    prim = _primitive(total)
+    return Fraction(total[-1], s1.denominator * s2.denominator * prim[-1]), prim
 
-    Each pass collects the maximal-multiplicity part V^m of the denominator,
-    solves B*(1-m)*U*V' = num (mod V) and peels off d/dy(B / V^(m-1)),
-    leaving a fraction whose denominator multiplicities strictly dropped.
+
+def hermite_reduce(f: RatFunc) -> HermiteParts:
+    """Hermite reduction over Z: Bronstein's quadratic HermiteReduce.
+
+    The proper part's denominator gets one squarefree decomposition.  For
+    each repeated factor V of multiplicity m, with U the other factors, U*V'
+    is inverted modulo V once; then for j = m-1, ..., 1 the numerator A of
+    A/(U V^(j+1)), a Fraction scale times a primitive integer list, gives
+    B = -A/j * (U V')^-1 mod V and A/(U V^(j+1)) = (B/V^j)' + A_/(U V^j) with
+    A_ = (A + j B U V')/V - U B', a division that is exact in Z[y].  The
+    exact part, sum B/V^j, is assembled over prod V^(m-1).
     """
     poly_part, proper = f.proper_split()
     var = f.var
-    exact = RatFunc.zero(var)
-    num, den = proper.num, proper.den
-    while not num.is_zero():
-        decomposition = squarefree_decompose(den)
-        max_mult = max(m for _, m in decomposition)
-        if max_mult == 1:
-            break
-        repeated = Poly.const(var, 1)
-        for factor, mult in decomposition:
-            if mult == max_mult:
-                repeated = repeated * factor
-        cofactor = den.exact_div(repeated**max_mult)
-        base = ((1 - max_mult) * cofactor * repeated.diff()).divrem(repeated)[1]
-        rhs = num.divrem(repeated)[1]
-        upstairs = (rhs * _inverse_mod(base, repeated)).divrem(repeated)[1]
-        peeled = (num - cofactor * (upstairs.diff() * repeated
-                                    + (1 - max_mult) * upstairs * repeated.diff()))
-        lowered = peeled.exact_div(repeated)
-        exact = exact + RatFunc(upstairs, repeated ** (max_mult - 1))
-        reduced = RatFunc(lowered, cofactor * repeated ** (max_mult - 1))
-        num, den = reduced.num, reduced.den
-    return HermiteParts(poly_part, exact, RatFunc(num, den))
+    decomposition = squarefree_decompose(proper.den)
+    if all(m == 1 for _, m in decomposition):   # [] when proper is 0
+        return HermiteParts(poly_part, RatFunc.zero(var), proper)
+    factors = [(_int_clear(v), m) for v, m in decomposition]
+    # proper = scale * num / prod V^m over Z
+    scale, num = _integer_form(proper.num)
+    for v, m in factors:
+        scale *= v[-1] ** m
+    e_scale, e_num, e_den, d = Fraction(0), [], [1], [1]
+    for i, (v, m) in enumerate(factors):
+        u, d = d, _int_mul(d, v)   # the factors before V are down to multiplicity 1
+        if m == 1 or not num:
+            continue
+        for w, e in factors[i + 1:]:
+            for _ in range(e):
+                u = _int_mul(u, w)
+        uv = _int_mul(u, _derivative(v))
+        _, r, k_uv = _int_pseudo_divrem(uv, v)
+        inv_scale, inv = _integer_form(_inverse_mod(Poly(var, r), Poly(var, v)))
+        # V^(m-1-j) and n = sum B_j V^(m-1-j), so that sum B_j / V^j = n / V^(m-1)
+        power, n_scale, n = [1], Fraction(0), []
+        for j in range(m - 1, 0, -1):
+            _, r, k = _int_pseudo_divrem(num, v)
+            _, b, k2 = _int_pseudo_divrem(_int_mul(r, inv), v)
+            b_scale = -scale * inv_scale * k_uv / (j * k * k2)
+            t_scale, t = _combine(scale, num, j * b_scale, _int_mul(b, uv))
+            scale, num = _combine(t_scale, _int_exact_quotient(v, t),
+                                  -b_scale, _int_mul(u, _derivative(b)))
+            n_scale, n = _combine(b_scale, _int_mul(b, power), n_scale, n)
+            power = _int_mul(power, v)
+        e_scale, e_num = _combine(e_scale, _int_mul(e_num, power), n_scale, _int_mul(n, e_den))
+        e_den = _int_mul(e_den, power)
+    return HermiteParts(poly_part,
+                        RatFunc(Poly(var, [e_scale * c for c in e_num]), Poly(var, e_den)),
+                        RatFunc(Poly(var, [scale * c for c in num]), Poly(var, d)))
 
 
 def rational_antiderivative(f: RatFunc) -> RatFunc | None:

@@ -14,6 +14,7 @@ from liouvillian.algebra import Poly, RatFunc, gcd
 from liouvillian import parser
 from liouvillian.parser import (BinaryOp, Negate, Number, ParseError, Variable,
                                 render)
+from liouvillian.reduction import HermiteParts, _inverse_mod
 from liouvillian.verify import VerificationReport
 
 
@@ -287,3 +288,69 @@ def _ref_combine_bivar(node, left: list[RatFunc], right: list[RatFunc],
         value = [c / right[0] for c in left]
     _ref_check_bivar_size(value, node.offset)
     return value
+
+
+# Hermite reduction by repeated multiplicity lowering in Poly/RatFunc
+# arithmetic, one squarefree decomposition and one inverse per pass, and
+# Yun's algorithm on the monic Poly: the references for hermite_reduce and
+# squarefree_decompose, which work on primitive integer lists.
+
+
+def reference_squarefree_decompose(p: Poly) -> list[tuple[Poly, int]]:
+    """Yun's algorithm: p = lc * prod(f_i ** m_i) with the f_i monic,
+    squarefree and pairwise coprime."""
+    if p.is_zero():
+        raise ValueError("cannot decompose the zero polynomial")
+    if p.is_constant():
+        return []
+    whole = p.monic()
+    deriv = whole.diff()
+    g = gcd(whole, deriv)
+    if g.is_constant():
+        return [(whole, 1)]
+    c = whole.exact_div(g)
+    d = deriv.exact_div(g) - c.diff()
+    out: list[tuple[Poly, int]] = []
+    mult = 1
+    while not c.is_constant():
+        f = gcd(c, d)
+        c_next = c.exact_div(f)
+        d = d.exact_div(f) - c_next.diff()
+        c = c_next
+        if not f.is_constant():
+            out.append((f, mult))
+        mult += 1
+    return out
+
+
+def reference_hermite_reduce(f: RatFunc) -> HermiteParts:
+    """Hermite reduction by repeated multiplicity lowering.
+
+    Each pass collects the maximal-multiplicity part V^m of the denominator,
+    solves B*(1-m)*U*V' = num (mod V) and peels off d/dy(B / V^(m-1)),
+    leaving a fraction whose denominator multiplicities strictly dropped.
+    """
+    poly_part, proper = f.proper_split()
+    var = f.var
+    exact = RatFunc.zero(var)
+    num, den = proper.num, proper.den
+    while not num.is_zero():
+        decomposition = reference_squarefree_decompose(den)
+        max_mult = max(m for _, m in decomposition)
+        if max_mult == 1:
+            break
+        repeated = Poly.const(var, 1)
+        for factor, mult in decomposition:
+            if mult == max_mult:
+                repeated = repeated * factor
+        cofactor = den.exact_div(repeated**max_mult)
+        base = ((1 - max_mult) * cofactor * repeated.diff()).divrem(repeated)[1]
+        rhs = num.divrem(repeated)[1]
+        upstairs = (rhs * _inverse_mod(base, repeated)).divrem(repeated)[1]
+        peeled = (num - cofactor * (upstairs.diff() * repeated
+                                    + (1 - max_mult) * upstairs * repeated.diff()))
+        lowered = peeled.exact_div(repeated)
+        exact = exact + RatFunc(upstairs, repeated ** (max_mult - 1))
+        reduced = RatFunc(lowered, cofactor * repeated ** (max_mult - 1))
+        num, den = reduced.num, reduced.den
+    return HermiteParts(poly_part, exact, RatFunc(num, den))

@@ -11,7 +11,7 @@ from liouvillian.algebra import (Poly, RatFunc,
                                  squarefree_decompose)
 
 from helpers import (is_canonical, rand_fraction, rand_poly, rand_ratfunc,
-                     reference_divrem, reference_mul)
+                     reference_divrem, reference_mul, reference_squarefree_decompose)
 
 Y = Poly.gen("y")
 
@@ -173,6 +173,25 @@ class TestSquarefree:
             for i in range(len(parts)):
                 for j in range(i + 1, len(parts)):
                     assert gcd(parts[i][0], parts[j][0]).is_constant()
+
+
+class TestSquarefreeAgainstReference:
+    """Yun's algorithm over Z against the monic Poly version it replaced."""
+
+    def test_random_products(self):
+        rng = random.Random(29)
+        for _ in range(400):
+            product = Poly.const("y", rand_fraction(rng, span=99, nonzero=True))
+            for _ in range(rng.randint(1, 4)):
+                factor = rand_poly(rng, "y", max_deg=3, span=rng.choice((9, 999999)),
+                                   nonzero=True)
+                product = product * factor**rng.randint(1, 6)
+            assert squarefree_decompose(product) == reference_squarefree_decompose(product)
+
+    @pytest.mark.parametrize("p", [Y, Y**8, (2 * Y + 7)**6, (Y - fr(1, 3))**9 * (Y**2 + 1),
+                                   Poly.const("y", 5), (3 * Y**3 - Y + 2)**2 * Y**5])
+    def test_edge_cases(self, p):
+        assert squarefree_decompose(p) == reference_squarefree_decompose(p)
 
 
 class TestResultant:

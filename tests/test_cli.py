@@ -473,3 +473,49 @@ class TestFlags:
         assert witness["quad_ext"] == {"symbol": "lam", "square": "-1"}
         assert witness["generators"][0]["kind"] == "exponential"
         assert witness["generators"][0]["rate"] == "lam"
+
+
+class TestLeadingMinus:
+    """An expression that begins with a minus sign is an expression, not an
+    option, wherever it stands among the flags."""
+
+    @pytest.mark.parametrize("argv, status, z", [
+        (["autonomous", "-y^2", "--json"], "liouvillian", "1/y"),
+        (["autonomous", "--json", "-y^2"], "liouvillian", "1/y"),
+        (["antider", "-1/x^2", "--json", "--verify"], "liouvillian", "1/x"),
+        (["antider", "--json", "--verify", "-1/x^2"], "liouvillian", "1/x"),
+        (["square", "--json", "-y^2+1"], "liouvillian", None),
+        (["logderiv", "-1/x", "--json"], "liouvillian", "1/x"),
+    ])
+    def test_verdict(self, argv, status, z, capsys):
+        code, payload, err = run_cli(argv)
+        (report,) = validate_lines(payload)
+        assert code == 0 and err == ""
+        assert report["status"] == status
+        assert report["equation"] == next(a for a in argv[1:] if not a.startswith("--"))
+        if z is not None:
+            assert report["witness"]["z"] == z
+        assert capsys.readouterr() == ("", "")
+
+    def test_abel_coefficients_attached_to_the_flag(self):
+        code, payload, _ = run_cli(["abel", "--coeffs=-1/x;1", "--json"])
+        (report,) = validate_lines(payload)
+        assert code == 0 and report["equation"] == "-1/x;1"
+        assert report["details"]["gamma"] == "1/x"
+
+    @pytest.mark.parametrize("argv", [
+        ["autonomous", "--frobnicate", "y"],
+        ["autonomous", "-y^2", "-y"],
+        ["autonomous", "y", "-y"],
+        ["abel", "-1/x;1"],
+    ])
+    def test_usage_errors_go_to_the_given_stderr(self, argv, capsys):
+        code, payload, err = run_cli(argv)
+        assert code == 1 and payload == ""
+        assert "unrecognized arguments" in err
+        assert capsys.readouterr() == ("", "")
+
+    def test_help_is_not_an_expression(self, capsys):
+        code, payload, _ = run_cli(["autonomous", "-h"])
+        assert code == 1 and payload.startswith("usage: liouvillian autonomous")
+        assert capsys.readouterr() == ("", "")

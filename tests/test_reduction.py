@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from liouvillian.algebra import (Poly, RatFunc, ResourceLimitError,
-                                 is_squarefree, normalized_part, rational_roots,
-                                 resultant)
+from liouvillian import reduction
+from liouvillian.algebra import (InternalInconsistencyError, Poly, RatFunc,
+                                 ResourceLimitError, is_squarefree, normalized_part,
+                                 rational_roots, resultant)
 from liouvillian.parser import parse_expression as pe
 from liouvillian.reduction import (hermite_reduce,
                                    log_derivative_up_to_constant,
@@ -17,8 +18,10 @@ from liouvillian.reduction import (hermite_reduce,
                                    residues_commensurable_in_pairs,
                                    scaled_log_witness, split_residues)
 
+import helpers
 from helpers import (brute_residues, fraction_from_residues, rand_fraction,
-                     rand_poly, rand_ratfunc, split_proper_fraction)
+                     rand_poly, rand_ratfunc, reference_hermite_reduce,
+                     split_proper_fraction)
 
 Y = Poly.gen("y")
 
@@ -57,6 +60,88 @@ class TestHermite:
             assert parts.remainder.is_proper()
             if not parts.remainder.is_zero():
                 assert is_squarefree(parts.remainder.den)
+
+
+def _hermite_outcome(reduce, f):
+    try:
+        return reduce(f)
+    except (ValueError, ZeroDivisionError, InternalInconsistencyError) as exc:
+        return type(exc)
+
+
+# g with g' having a pole of order k + 1 = 2, ..., 8 at every root of a
+# linear, quadratic and cubic factor
+_ANTIDERIVATIVES = [f"(3*x-1)/{v}^{k} + x" for v in ("(2*x-3)", "(x^2+x+1)", "(x^3-2*x+5)")
+                    for k in range(1, 8)]
+
+
+def _random_fraction(rng, var):
+    """Numerator over a product of up to three factors: multiplicities up
+    to 8, non-monic factors, some with 6-digit coefficients."""
+    den = Poly.const(var, rng.randint(1, 7))
+    for _ in range(rng.randint(1, 3)):
+        factor = rand_poly(rng, var, max_deg=rng.choice((1, 1, 2, 3)),
+                           span=rng.choice((9, 9, 999999)), nonzero=True)
+        den = den * factor**rng.randint(1, 8 if factor.degree() == 1 else 4)
+    return RatFunc(rand_poly(rng, var, max_deg=den.degree() + 2), den)
+
+
+class TestHermiteAgainstReference:
+    """hermite_reduce over Z against the Poly/RatFunc multiplicity-lowering
+    loop it replaced: equal HermiteParts, or the same exception type."""
+
+    EDGE_CASES = [
+        ("0", "x"), ("x^3 - 2*x + 1/2", "x"), ("(x+1)/(x^2-2)", "x"), ("1/y^2", "y"),
+        ("1/(x^2+x+1)^30", "x"), ("1/(2*x+7)^6", "x"),
+        ("(x+2)*(x-1)/((x-1)^3*(x+2)^2*(x^2+1))", "x"),
+        ("x/((x-1)^3*(x+1)^3) + 1/(x+1)^3", "x"),
+        ("1/(x^2+x+1)^12 + 3/(x-1/3)^9 + 5/(2*x+7)^6", "x"),
+    ]
+
+    @pytest.mark.parametrize("text, var", EDGE_CASES)
+    def test_edge_cases(self, text, var):
+        f = pe(text, var)
+        assert _hermite_outcome(hermite_reduce, f) == \
+            _hermite_outcome(reference_hermite_reduce, f)
+
+    @pytest.mark.parametrize("g", _ANTIDERIVATIVES)
+    def test_exact_derivatives(self, g):
+        f = pe(g, "x").diff()
+        parts = hermite_reduce(f)
+        assert parts.remainder.is_zero()
+        assert parts == reference_hermite_reduce(f)
+
+    @pytest.mark.parametrize("var", ["x", "y"])
+    def test_random_fractions(self, var):
+        rng = random.Random(31 if var == "x" else 37)
+        for _ in range(300):
+            f = _random_fraction(rng, var)
+            assert _hermite_outcome(hermite_reduce, f) == \
+                _hermite_outcome(reference_hermite_reduce, f), f
+
+    def test_inexact_lowering_raises(self, monkeypatch):
+        """A wrong inverse leaves a numerator that V does not divide; both
+        reductions must refuse it rather than return wrong parts."""
+        inverse = reduction._inverse_mod
+
+        def off_by_one(a, modulus):
+            return inverse(a, modulus) + 1
+
+        monkeypatch.setattr(reduction, "_inverse_mod", off_by_one)
+        monkeypatch.setattr(helpers, "_inverse_mod", off_by_one)
+        for text in ("1/x^2", "1/(2*x+7)^6", "(x+5)/((x^2+x+1)^3*(x-2))"):
+            f = pe(text, "x")
+            with pytest.raises(ValueError, match="not exact"):
+                hermite_reduce(f)
+            assert _hermite_outcome(reference_hermite_reduce, f) is ValueError
+
+    def test_factors_that_are_not_coprime_raise(self, monkeypatch):
+        """U*V' not invertible modulo V is an internal inconsistency."""
+        y = Poly.gen("y")
+        monkeypatch.setattr(reduction, "squarefree_decompose",
+                            lambda den: [(y, 1), (y, 2)])
+        with pytest.raises(InternalInconsistencyError):
+            hermite_reduce(pe("1/y^3", "y"))
 
 
 class TestRationalAntiderivative:
