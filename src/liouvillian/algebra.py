@@ -3,11 +3,15 @@
 Coefficients are arbitrary-precision `fractions.Fraction` values at the
 interface.  Products and division clear each operand to a list of integers
 over one common denominator, run their loops over Z (division as integer
-pseudo-division) and build the result's Fractions once.  Every value is
-immutable and every operation is a pure function, so results are safe to
-share between threads and compare structurally with ``==``.  Polynomials carry
-a variable tag (``y``, ``x``, ``t``, ``u``, ...) so values from different
-rings cannot be mixed silently; constants are compatible with any tag.
+pseudo-division) and build the result's Fractions once.  A rational function
+is normalised once, when it is built from arbitrary parts; its operations
+keep that form by Henrici's gcds of the factors rather than one gcd of the
+products, and take none where the parts are known to be coprime.  Every
+value is immutable and every operation is a pure function, so results are
+safe to share between threads and compare structurally with ``==``.
+Polynomials carry a variable tag (``y``, ``x``, ``t``, ``u``, ...) so values
+from different rings cannot be mixed silently; constants are compatible with
+any tag.
 
 The zero polynomial has an empty coefficient tuple and ``degree() is None``
 (a deliberate sentinel: degree arithmetic on zero is always a bug).
@@ -589,12 +593,26 @@ def rational_roots(p: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
 # -- rational functions --------------------------------------------------
 
 
+def _cancel(p: Poly, q: Poly) -> tuple[Poly, Poly]:
+    """p/g and q/g for g = gcd(p, q), taken as 1 when p or q is constant."""
+    if p.is_constant() or q.is_constant():
+        return p, q
+    g = gcd(p, q)
+    return (p, q) if g.is_constant() else (p.exact_div(g), q.exact_div(g))
+
+
 @dataclass(frozen=True)
 class RatFunc:
     """Canonical fraction of two polynomials: coprime, monic denominator.
 
     Construction normalizes, so two RatFunc values are equal as rational
-    functions exactly when they are structurally equal.
+    functions exactly when they are structurally equal.  ``RatFunc(num, den)``
+    takes one gcd of its arguments; the operations keep the canonical form of
+    their operands instead (Henrici, JACM 3, 1956; Knuth, TAOCP vol. 2,
+    §4.5.1).  Negation, inverse, powers and :meth:`proper_split` take no gcd;
+    a/b * c/d takes gcd(a, d) and gcd(c, b); a/b + c/d takes g = gcd(b, d)
+    and, when g is not 1, gcd(a*(d/g) + c*(b/g), g); :meth:`diff` runs the
+    full normalisation.
     """
 
     num: Poly
@@ -619,19 +637,31 @@ class RatFunc:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
+    @classmethod
+    def _reduced(cls, num: Poly, den: Poly) -> RatFunc:
+        """num/den for coprime parts and a monic den (any den if num is 0),
+        tagged as the constructor tags them, with no gcd."""
+        if num.is_zero() or num.var != den.var:
+            var = num._join_var(den)
+            num, den = Poly(var, num.coeffs), Poly(var, den.coeffs if num.coeffs else (1,))
+        value = object.__new__(cls)
+        object.__setattr__(value, "num", num)
+        object.__setattr__(value, "den", den)
+        return value
+
     # -- constructors -------------------------------------------------
 
     @classmethod
     def const(cls, var: str, value) -> RatFunc:
-        return cls(Poly.const(var, value))
+        return cls._reduced(Poly.const(var, value), Poly.const(var, 1))
 
     @classmethod
     def zero(cls, var: str) -> RatFunc:
-        return cls(Poly.zero(var))
+        return cls.const(var, 0)
 
     @classmethod
     def gen(cls, var: str) -> RatFunc:
-        return cls(Poly.gen(var))
+        return cls._reduced(Poly.gen(var), Poly.const(var, 1))
 
     # -- structure ----------------------------------------------------
 
@@ -664,7 +694,7 @@ class RatFunc:
         if isinstance(other, (int, Fraction)):
             return RatFunc.const(self.var, other)
         if isinstance(other, Poly):
-            return RatFunc(other)
+            return RatFunc._reduced(other, Poly.const(other.var, 1))
         if isinstance(other, RatFunc):
             return other
         return None
@@ -673,13 +703,18 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
+        (a, b), (c, d) = (self.num, self.den), (other.num, other.den)
+        if b.is_constant() or d.is_constant() or (g := gcd(b, d)).is_constant():
+            return RatFunc._reduced(a * d + c * b, b * d)
+        b_g, d_g = b.exact_div(g), d.exact_div(g)
+        # with g2 = gcd(t, g), the sum is (t/g2) / ((b/g) * (d/g) * (g/g2))
+        t, g = _cancel(a * d_g + c * b_g, g)
+        return RatFunc._reduced(t, b_g * d_g * g)
 
     __radd__ = __add__
 
     def __neg__(self) -> RatFunc:
-        return RatFunc(-self.num, self.den)
+        return RatFunc._reduced(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -691,7 +726,9 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
+        a, d = _cancel(self.num, other.den)
+        c, b = _cancel(other.num, self.den)
+        return RatFunc._reduced(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -701,7 +738,7 @@ class RatFunc:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -712,14 +749,14 @@ class RatFunc:
     def inverse(self) -> RatFunc:
         if self.is_zero():
             raise ZeroDivisionError("zero rational function has no inverse")
-        return RatFunc(self.den, self.num)
+        return RatFunc._reduced(self.den * (1 / self.num.leading()), self.num.monic())
 
     def __pow__(self, n: int) -> RatFunc:
         if not isinstance(n, int):
             raise ValueError("rational-function powers must be integers")
         if n < 0:
             return self.inverse() ** (-n)
-        return RatFunc(self.num**n, self.den**n)
+        return RatFunc._reduced(self.num**n, self.den**n)
 
     def diff(self) -> RatFunc:
         """Formal derivative with respect to the function's own variable."""
@@ -729,7 +766,7 @@ class RatFunc:
     def proper_split(self) -> tuple[Poly, RatFunc]:
         """self = polynomial part + proper remainder fraction."""
         q, r = self.num.divrem(self.den)
-        return q, RatFunc(r, self.den)
+        return q, RatFunc._reduced(r, self.den)
 
     def __repr__(self) -> str:
         return f"RatFunc({self.num!r}, {self.den!r})"

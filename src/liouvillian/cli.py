@@ -281,10 +281,14 @@ def _process_line(procedure: str, text: str, args: argparse.Namespace) -> Outcom
             return _square_outcome(text, poly, decide_square(poly),
                                    want_witness, want_verify)
         if procedure == "abel":
-            pieces = [piece.strip() for piece in text.split(";")]
-            if any(not piece for piece in pieces):
-                raise ParseError("empty coefficient in list", 0)
-            coeffs = [parse_expression(piece, "x") for piece in pieces]
+            # parsed in place, so that offsets count from the start of the line
+            spans, start = [], 0
+            for piece in text.split(";"):
+                if not piece.strip():
+                    raise ParseError("empty coefficient in list", start)
+                spans.append((start, start + len(piece)))
+                start += len(piece) + 1
+            coeffs = [parse_expression(text, "x", start, end) for start, end in spans]
             return _abel_outcome(text, decide_abel(coeffs))
         if procedure == "degbound":
             if args.coeff_field == "qx":

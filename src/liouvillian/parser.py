@@ -8,8 +8,10 @@ Grammar (whitespace-insensitive)::
     factor := base ('^' integer)?
     base   := integer | variable | '(' expr ')'
 
-``^`` binds a single factor, takes a non-negative integer literal exponent and
-is non-associative: ``a^b^c`` is a syntax error.  An exponent above
+An ``integer`` is a run of decimal digits: those ``str.isdecimal`` accepts,
+which are what ``int`` reads (a superscript such as ``²`` is an illegal
+character).  ``^`` binds a single factor, takes a non-negative integer literal
+exponent and is non-associative: ``a^b^c`` is a syntax error.  An exponent above
 :data:`MAX_EXPONENT` is a :class:`ResourceLimitError`, raised before any power
 is formed; so is an integer literal of more than :data:`MAX_LITERAL_DIGITS`
 significant digits, raised before it is converted, and a subexpression whose
@@ -17,11 +19,11 @@ value would pass :data:`MAX_DEGREE` or :data:`MAX_COEFFICIENT_DIGITS`, raised
 before any power of it is formed and after each sum, difference, product or
 quotient, so that no decision procedure sees it.  While the tree is folded,
 rational coefficients stay unreduced pairs of integer polynomials, and each is
-reduced once, at the end.  At the points above a cheap bound on each
-unreduced coefficient is measured, and a coefficient is reduced and measured
-exactly only when that bound does not prove it within the budget, so the
-inputs that pass are those whose reduced values are within it; after each
-multiplication of a power such a coefficient is reduced too, which keeps
+reduced once, at the end, by one gcd over Z.  At the points above a cheap
+bound on each unreduced coefficient is measured, and a coefficient is reduced
+and measured exactly only when that bound does not prove it within the budget,
+so the inputs that pass are those whose reduced values are within it; after
+each multiplication of a power such a coefficient is reduced too, which keeps
 partial powers small.  Parentheses and unary minus nest at most
 :data:`MAX_NESTING` deep (deeper input is a :class:`ParseError`); sums and
 products may be of any length.  Rational constants are written with ``/``
@@ -37,9 +39,11 @@ canonical value, byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import ceil, lcm, log2
 
-from .algebra import Poly, RatFunc, ResourceLimitError, _cleared, _int_add, _int_mul
+from .algebra import (Poly, RatFunc, ResourceLimitError, _int_add, _int_exact_quotient,
+                      _int_mul, _int_poly_gcd, _primitive)
 
 # Parentheses plus unary minus signs open at any point of an expression.
 MAX_NESTING = 100
@@ -83,26 +87,27 @@ class Token:
     offset: int
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str, start: int = 0, end: int | None = None) -> list[Token]:
+    """Tokens of text[start:end], at their offsets into `text`."""
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
+    i = start
+    n = len(text) if end is None else end
     while i < n:
         ch = text[i]
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
-            start = i
-            while i < n and text[i].isdigit():
+        if ch.isdecimal():
+            first = i
+            while i < n and text[i].isdecimal():
                 i += 1
-            tokens.append(Token("integer", text[start:i], start))
+            tokens.append(Token("integer", text[first:i], first))
             continue
         if ch.isalpha():
-            start = i
+            first = i
             while i < n and text[i].isalpha():
                 i += 1
-            tokens.append(Token("identifier", text[start:i], start))
+            tokens.append(Token("identifier", text[first:i], first))
             continue
         if ch in _SYMBOLS:
             tokens.append(Token(_SYMBOLS[ch], ch, i))
@@ -330,8 +335,27 @@ def _pair_mul(a: tuple, b: tuple) -> tuple:
     return _int_mul(an, bn), _int_mul(ad, bd)
 
 
+def _reduce_pair(pair: tuple) -> tuple:
+    """The canonical value of `pair` as a pair: coprime integer lists with
+    no common content and a positive leading denominator coefficient."""
+    num, den = pair
+    if not num:
+        return _ZERO
+    pn, pd = _primitive(num), _primitive(den)
+    scale = Fraction(num[-1] // pn[-1], den[-1] // pd[-1])
+    if len(pn) > 1 and len(pd) > 1:
+        g = _int_poly_gcd(pn, pd)
+        if len(g) > 1:
+            pn, pd = _int_exact_quotient(g, pn), _int_exact_quotient(g, pd)
+    return ([scale.numerator * c for c in pn], [scale.denominator * c for c in pd])
+
+
 def _coefficient(pair: tuple, coeff: str) -> RatFunc:
-    return RatFunc(Poly(coeff, pair[0]), Poly(coeff, pair[1]))
+    """The RatFunc of a pair :func:`_reduce_pair` returned, built with no gcd."""
+    num, den = pair
+    lead = den[-1]
+    return RatFunc._reduced(Poly(coeff, [Fraction(c, lead) for c in num]),
+                            Poly(coeff, [Fraction(c, lead) for c in den]))
 
 
 def _size_bound(pair: tuple) -> tuple[int, int]:
@@ -364,10 +388,8 @@ def _normalise_unproved(cs: list, coeff: str, k: int = 1) -> list[RatFunc]:
     reduced = []
     for i, pair in enumerate(cs):
         if not _proved_within(pair, k, len(cs) - 1):
-            f = _coefficient(pair, coeff)
-            ints, _ = _cleared(f.num.coeffs + f.den.coeffs)
-            cs[i] = ints[:len(f.num.coeffs)], ints[len(f.num.coeffs):]
-            reduced.append(f)
+            cs[i] = _reduce_pair(pair)
+            reduced.append(_coefficient(cs[i], coeff))
     return reduced
 
 
@@ -459,11 +481,13 @@ def parse(tokens: list[Token], variable: str) -> RatFunc:
     the two-variable fold with no main variable, whose one coefficient is
     reduced once, at the end."""
     cs = _eval_bivar(parse_tree(tokens), None, variable)
-    return _coefficient(cs[0] if cs else _ZERO, variable)
+    return _coefficient(_reduce_pair(cs[0]) if cs else _ZERO, variable)
 
 
-def parse_expression(text: str, variable: str) -> RatFunc:
-    return parse(tokenize(text), variable)
+def parse_expression(text: str, variable: str, start: int = 0,
+                     end: int | None = None) -> RatFunc:
+    """Parse text[start:end]; error offsets count from the start of text."""
+    return parse(tokenize(text, start, end), variable)
 
 
 def parse_polynomial(text: str, variable: str) -> Poly:
@@ -477,7 +501,7 @@ def parse_polynomial(text: str, variable: str) -> Poly:
 def parse_poly_over_coeff_field(text: str, main: str, coeff: str) -> list[RatFunc]:
     """Parse a polynomial in `main` with coefficients in Q(`coeff`); returns
     the coefficient list indexed by power of `main` (empty list = zero)."""
-    return [_coefficient(pair, coeff)
+    return [_coefficient(_reduce_pair(pair), coeff)
             for pair in _eval_bivar(parse_tree(tokenize(text)), main, coeff)]
 
 

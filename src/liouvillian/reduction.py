@@ -315,8 +315,8 @@ def scaled_log_witness(h: RatFunc, bound_factors: tuple[tuple[Fraction, Poly], .
         raise ResourceLimitError(
             f"explicit logarithmic witness would have degree {expanded_degree} "
             f"(supported bound {_MAX_WITNESS_DEGREE})")
-    # the bound factors are pairwise coprime (distinct residues bind disjoint
-    # pole sets), so numerator and denominator need no cancellation
+    # the bound factors are monic and pairwise coprime (distinct residues bind
+    # disjoint pole sets), so numerator and denominator need no cancellation
     num = Poly.const(h.var, 1)
     den = Poly.const(h.var, 1)
     for bound, exponent in pieces:
@@ -324,7 +324,7 @@ def scaled_log_witness(h: RatFunc, bound_factors: tuple[tuple[Fraction, Poly], .
             num = num * bound**int(exponent)
         else:
             den = den * bound**int(-exponent)
-    return scale, RatFunc(num, den)
+    return scale, RatFunc._reduced(num, den)
 
 
 @dataclass(frozen=True)

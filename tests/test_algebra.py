@@ -356,3 +356,72 @@ class TestRatFunc:
             f = rand_ratfunc(rng, "y", max_deg=2)
             g = rand_ratfunc(rng, "y", max_deg=2)
             assert (f * g).diff() == f.diff() * g + f * g.diff()
+
+
+def _shared_factor_ratfunc(rng: random.Random, pool: list[Poly]) -> tuple[Poly, Poly]:
+    """Unreduced parts: a random constant (possibly zero or negative) times
+    repeated factors drawn from a small shared pool, over the same."""
+    def part(zero_ok: bool) -> Poly:
+        p = Poly.const("y", rand_fraction(rng, 6, 3, nonzero=not zero_ok))
+        for _ in range(rng.randint(0, 3)):
+            p = p * rng.choice(pool)
+        return p
+    return part(rng.random() < 0.9), part(False)
+
+
+class TestRatFuncAgainstNaiveParts:
+    """Each operation against the normalising constructor applied to its
+    naive, unreduced parts, on operands built from a shared pool of factors
+    so that operands share factors, repeat factors and cancel."""
+
+    POOL = [Y, Y + 1, Y - 1, 2 * Y + 3, Y**2 + 1, -Y + fr(1, 2), Y**2 - 2,
+            Poly.const("y", -3), Poly.const("y", fr(2, 5))]
+
+    def operands(self, seed: int, count: int):
+        rng = random.Random(seed)
+        for _ in range(count):
+            a, b = _shared_factor_ratfunc(rng, self.POOL)
+            c, d = _shared_factor_ratfunc(rng, self.POOL)
+            f = RatFunc(a, b)
+            if rng.random() < 0.25:
+                # g = k - f, so that f + g = k cancels across both denominators
+                k, m = _shared_factor_ratfunc(rng, self.POOL)
+                c, d = k * b - a * m, m * b
+            yield f, RatFunc(c, d), (a, b, c, d)
+
+    @staticmethod
+    def check(got: RatFunc, want: RatFunc):
+        assert got == want
+        assert is_canonical(got) and got.num.var == got.den.var == "y"
+
+    def test_field_operations(self):
+        for f, g, (a, b, c, d) in self.operands(79, 500):
+            self.check(f + g, RatFunc(a * d + c * b, b * d))
+            self.check(f - g, RatFunc(a * d - c * b, b * d))
+            self.check(f * g, RatFunc(a * c, b * d))
+            self.check(-f, RatFunc(-a, b))
+            if not g.is_zero():
+                self.check(f / g, RatFunc(a * d, b * c))
+                self.check(g.inverse(), RatFunc(d, c))
+
+    def test_powers_and_proper_split(self):
+        rng = random.Random(83)
+        for f, _, (a, b, _, _) in self.operands(89, 500):
+            n = rng.randint(-3, 3)
+            if n >= 0:
+                self.check(f**n, RatFunc(a**n, b**n))
+            elif not f.is_zero():
+                self.check(f**n, RatFunc(b**-n, a**-n))
+            poly, proper = f.proper_split()
+            q, r = a.divrem(b)
+            self.check(proper, RatFunc(r, b))
+            assert proper.is_proper() and proper + poly == f
+
+    def test_constants_take_the_other_operand_variable(self):
+        x = RatFunc(Poly.const("x", 1), Poly("x", (1, 1)))
+        two = RatFunc.const("y", 2)
+        for got, want in [(x * two, RatFunc(Poly.const("x", 2), Poly("x", (1, 1)))),
+                          (two + x, RatFunc(Poly("x", (3, 2)), Poly("x", (1, 1)))),
+                          (two * RatFunc.const("x", 3), RatFunc.const("x", 6)),
+                          (x * RatFunc.zero("y"), RatFunc.zero("x"))]:
+            assert got == want and got.num.var == got.den.var

@@ -237,6 +237,23 @@ class TestExitCodes:
         assert code == 1
         assert "empty coefficient" in json.loads(payload)["error"]
 
+    @pytest.mark.parametrize("coeffs,code,error", [
+        ("1/x;1/(x", 1, "expected ')' (at offset 8)"),
+        ("1/x; y", 1, "unknown variable 'y' (expected 'x') (at offset 5)"),
+        ("1/x; (x+1)^1001", 2, "resource limit: exponent literal 1001 at offset 11 "
+                               "exceeds the bound MAX_EXPONENT = 1000 (stage: parse)"),
+        ("1/x;1;", 1, "empty coefficient in list (at offset 6)"),
+    ])
+    def test_abel_offsets_count_from_the_start_of_the_line(self, coeffs, code, error):
+        got_code, payload, _ = run_cli(["abel", "--coeffs", coeffs, "--json"])
+        assert got_code == code
+        assert validate_lines(payload)[0]["error"] == error
+
+    def test_superscript_digit_is_an_illegal_character(self):
+        code, payload, _ = run_cli(["autonomous", "y^\u00b2", "--json"])
+        assert code == 1
+        assert validate_lines(payload)[0]["error"] == "illegal character '\u00b2' (at offset 2)"
+
     def test_input_and_inline_conflict_is_one(self, tmp_path):
         path = tmp_path / "eqs.txt"
         path.write_text("y^2\n")

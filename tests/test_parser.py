@@ -12,9 +12,9 @@ from liouvillian.parser import (MAX_COEFFICIENT_DIGITS, MAX_DEGREE, MAX_EXPONENT
                                 parse_expression, parse_tree,
                                 parse_poly_over_coeff_field, parse_polynomial,
                                 render, render_poly, tokenize)
-from liouvillian.parser import _size_bound
+from liouvillian.parser import _coefficient, _reduce_pair, _size_bound
 
-from helpers import rand_ratfunc, reference_parse, reference_poly_over_coeff_field
+from helpers import is_canonical, rand_ratfunc, reference_parse, reference_poly_over_coeff_field
 
 Y = Poly.gen("y")
 
@@ -41,6 +41,19 @@ class TestTokenize:
     def test_unbounded_integers(self):
         toks = tokenize("123456789012345678901234567890")
         assert toks[0].lexeme == "123456789012345678901234567890"
+
+    def test_literals_are_decimal_digits(self):
+        # superscripts pass str.isdigit() but not int(); they are illegal
+        with pytest.raises(ParseError) as err:
+            tokenize("y^\u00b2")
+        assert err.value.offset == 2 and "illegal character" in str(err.value)
+        # other Unicode decimal digits read as int() reads them
+        assert parse_expression("y^\u0663", "y") == parse_expression("y^3", "y")
+
+    def test_span_offsets_count_from_the_start_of_the_text(self):
+        toks = tokenize("1/x; y+1", 4, 8)
+        assert [(t.kind, t.offset) for t in toks] == [
+            ("identifier", 5), ("plus", 6), ("integer", 7), ("end", 8)]
 
 
 class TestParse:
@@ -396,3 +409,27 @@ class TestRender:
             assert again == f
             # determinism: same value renders byte-identically
             assert render(again) == text
+
+
+class TestCoefficient:
+    """The parser's one reduction of an unreduced integer pair."""
+
+    def test_against_the_constructor(self):
+        rng = random.Random(97)
+        for _ in range(500):
+            common = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
+            common[-1] = common[-1] or 1
+            num = _int_mul([rng.randint(-5, 5) for _ in range(rng.randint(0, 3))], common)
+            den = _int_mul([rng.randint(-5, 5) or 1 for _ in range(rng.randint(1, 3))],
+                           common)
+            num = [rng.choice([1, 6, -10]) * c for c in num]
+            while num and not num[-1]:
+                num.pop()  # the fold keeps its lists trimmed
+            pair = (num, den)
+            f = _coefficient(_reduce_pair(pair), "x")
+            assert f == RatFunc(Poly("x", num), Poly("x", den))
+            assert is_canonical(f)
+            # the reduced pair is the canonical value cleared over Z
+            ints, _ = _cleared(f.num.coeffs + f.den.coeffs)
+            assert _reduce_pair(pair) == (ints[:len(f.num.coeffs)],
+                                          ints[len(f.num.coeffs):])
