@@ -468,7 +468,7 @@ def squarefree_decompose(p: Poly) -> list[tuple[Poly, int]]:
 def is_squarefree(p: Poly) -> bool:
     if p.is_zero():
         raise ValueError("squarefreeness of the zero polynomial is undefined")
-    if p.is_constant():
+    if len(p.coeffs) <= 2:     # constant or linear: p' is constant
         return True
     return gcd(p, p.diff()).is_constant()
 
@@ -627,9 +627,7 @@ class RatFunc:
         if num.is_zero():
             num, den = Poly.zero(var), Poly.const(var, 1)
         else:
-            common = gcd(num, den)
-            if not common.is_constant():
-                num, den = num.exact_div(common), den.exact_div(common)
+            num, den = _cancel(num, den)
             lead = den.leading()
             if lead != 1:
                 num, den = num * (1 / lead), den.monic()

@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .algebra import InternalInconsistencyError, Poly, RatFunc, is_squarefree
 from .reduction import (REASON_NOT_SQUAREFREE, ResidueCertificate,
-                        log_derivative_up_to_constant,
+                        _power_product, log_derivative_up_to_constant,
                         rational_antiderivative, residue_resultant,
                         split_residues)
 from .towers import (ANTIDERIVATIVE, Generator, QuadExtension, QuadValue,
@@ -244,9 +244,7 @@ def log_derivative_of_algebraic(alpha: RatFunc) -> LogDerivativeOfAlgebraic:
         return LogDerivativeOfAlgebraic("no", reasons=(REASON_IRRATIONAL_RESIDUES,))
     certificate = ResidueCertificate(residue_poly, Poly.zero("u"), bound_factors, None)
     if all(r.denominator == 1 for r, _ in bound_factors):
-        gamma = RatFunc.const(alpha.var, 1)
-        for residue, factor in bound_factors:
-            gamma = gamma * RatFunc(factor) ** int(residue)
+        gamma = _power_product(alpha.var, [(g, int(r)) for r, g in bound_factors])
         return LogDerivativeOfAlgebraic("rational", gamma=gamma,
                                         certificate=certificate)
     return LogDerivativeOfAlgebraic("algebraic", certificate=certificate)

@@ -6,7 +6,8 @@ Everything a first-order decision procedure needs to know about ``f(y)``:
   squarefree denominator; ``f`` has a rational antiderivative iff ``h = 0``
   (the polynomial part always integrates in characteristic zero).  It runs
   over Z from one squarefree decomposition of the denominator (Bronstein,
-  *Symbolic Integration I*, §2.2).
+  *Symbolic Integration I*, §2.2).  The exact part ``g`` is reduced by
+  construction and is built with no gcd.
 * The residue polynomial ``S(t)`` of a proper ``h`` with squarefree
   denominator has exactly the residues of ``h`` at its poles as roots.
   Residues are never represented as floating or algebraic numbers, only
@@ -137,8 +138,18 @@ def hermite_reduce(f: RatFunc) -> HermiteParts:
             power = _int_mul(power, v)
         e_scale, e_num = _combine(e_scale, _int_mul(e_num, power), n_scale, _int_mul(n, e_den))
         e_den = _int_mul(e_den, power)
+    # The exact part sum n_V / V^(m-1), scaled to a monic denominator, is
+    # canonical as built, with no gcd.  At the first step for V the numerator
+    # is coprime to V: f's principal part at V is untouched while the earlier
+    # factors are reduced.  So B_(m-1) is a unit mod V, and n_V = B_(m-1)
+    # (mod V); the other factors' powers are coprime to V too.  The remainder
+    # keeps the general constructor: its residue can vanish at some roots of
+    # V, so it can share a factor with prod V.
+    lead = e_den[-1]
+    e_scale /= lead
     return HermiteParts(poly_part,
-                        RatFunc(Poly(var, [e_scale * c for c in e_num]), Poly(var, e_den)),
+                        RatFunc._reduced(Poly(var, [e_scale * c for c in e_num]),
+                                         Poly(var, [Fraction(c, lead) for c in e_den])),
                         RatFunc(Poly(var, [scale * c for c in num]), Poly(var, d)))
 
 
@@ -315,16 +326,21 @@ def scaled_log_witness(h: RatFunc, bound_factors: tuple[tuple[Fraction, Poly], .
         raise ResourceLimitError(
             f"explicit logarithmic witness would have degree {expanded_degree} "
             f"(supported bound {_MAX_WITNESS_DEGREE})")
-    # the bound factors are monic and pairwise coprime (distinct residues bind
-    # disjoint pole sets), so numerator and denominator need no cancellation
-    num = Poly.const(h.var, 1)
-    den = Poly.const(h.var, 1)
-    for bound, exponent in pieces:
-        if exponent >= 0:
-            num = num * bound**int(exponent)
-        else:
-            den = den * bound**int(-exponent)
-    return scale, RatFunc._reduced(num, den)
+    return scale, _power_product(h.var, [(bound, int(e)) for bound, e in pieces])
+
+
+def _power_product(var: str, pieces) -> RatFunc:
+    """prod g^e over the (g, e) pairs, for monic, pairwise coprime bound
+    factors g (distinct residues bind disjoint pole sets) and integers e: the
+    positive and the negative powers share no factor, so there is no gcd."""
+    num = Poly.const(var, 1)
+    den = Poly.const(var, 1)
+    for factor, exponent in pieces:
+        if exponent > 0:
+            num = num * factor**exponent
+        elif exponent < 0:
+            den = den * factor**-exponent
+    return RatFunc._reduced(num, den)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,10 @@ exact equality over Q or over the quadratic extension Q(lam), using only the
 base arithmetic module — never the reduction code paths that produced the
 witness — so a reduction bug cannot certify its own output.  There are no
 tolerances: "passed" means the residual is the zero element.  The checks
-over Q(y) clear denominators and compare two polynomials; the normalised
-residual is built only to render a failure.
+over Q(y) clear denominators and compare two polynomials; square witnesses
+are checked over cleared polynomials too, as two pairs a + lam*b of
+polynomials in the generator.  The normalised residual is built only to
+render a failure.
 """
 
 from __future__ import annotations
@@ -95,14 +97,20 @@ class _QuadField:
     def derive(self, value, generator: Generator):
         """Derivative under the declared generator rule (lam' = 0)."""
         raw = (value[0].diff(), value[1].diff())
-        if generator.kind == ANTIDERIVATIVE:
+        rate = self.rate(generator)
+        if rate is None:
             return raw
+        gen_rf = (RatFunc.gen(self.var), self.zero_rf)
+        return self.mul(self.mul(raw, rate), gen_rf)
+
+    def rate(self, generator: Generator):
+        """None for t' = 1; the constant pair rate for v' = rate*v."""
+        if generator.kind == ANTIDERIVATIVE:
+            return None
         if generator.kind == EXPONENTIAL:
             if generator.rate is None:
                 raise MalformedWitnessError("exponential generator needs a rate")
-            rate = self.lift_constant(generator.rate)
-            gen_rf = (RatFunc.gen(self.var), self.zero_rf)
-            return self.mul(self.mul(raw, rate), gen_rf)
+            return self.lift_constant(generator.rate)
         raise MalformedWitnessError(f"unknown generator kind {generator.kind!r}")
 
     def lift_constant(self, value: QuadValue):
@@ -179,9 +187,48 @@ def verify_autonomous_witness(rhs: RatFunc, branch: str, z: RatFunc,
     raise MalformedWitnessError(f"unknown branch {branch!r}")
 
 
+def _pair_mul(lhs: tuple[Poly, Poly], rhs: tuple[Poly, Poly],
+              square: Fraction | None) -> tuple[Poly, Poly]:
+    """(a + lam*b)(c + lam*d) for pairs of polynomials, with lam^2 = square
+    (None: no extension, and the lam components are zero)."""
+    (a, b), (c, d) = lhs, rhs
+    if square is None:
+        return a * c, b     # the cross term a*d + b*c is zero
+    return a * c + square * (b * d), a * d + b * c
+
+
+def _square_identity_holds(p: Poly, value, rate, square: Fraction | None) -> bool:
+    """(y')^2 = P(y) over cleared polynomials, with no gcd.
+
+    With y = (A + lam*B)/D for D = base.den*lam.den, A = base.num*lam.den
+    and B = lam.num*base.den, y' = N/D^2 for N = R*(Y'D - YD'), Y = A + lam*B,
+    and R = 1 for t' = 1 or R = rate*v for v' = rate*v.  Multiplied by D^e,
+    e = max(4, deg P), the identity reads N^2 D^(e-4) = sum p_k Y^k D^(e-k).
+    """
+    (base, lam), var = value, value[0].var
+    d = base.den * lam.den
+    y = (base.num * lam.den, lam.num * base.den)
+    d_diff = d.diff()
+    n = (y[0].diff() * d - y[0] * d_diff, y[1].diff() * d - y[1] * d_diff)
+    if rate is not None:
+        n = _pair_mul(n, tuple(Poly(var, (0, r.num.coeff(0))) for r in rate), square)
+    lhs = _pair_mul(n, n, square)
+    zero = Poly.zero(var)
+    rhs, d_power = (zero, zero), Poly.const(var, 1)
+    for c in reversed(p.coeffs):     # Horner in Y/D, homogenised by D
+        rhs = _pair_mul(rhs, y, square)
+        rhs, d_power = (rhs[0] + c * d_power, rhs[1]), d_power * d
+    e = max(4, len(p.coeffs) - 1)
+    lhs_scale, rhs_scale = d ** (e - 4), d ** (e - len(p.coeffs) + 1)
+    return (lhs[0] * lhs_scale == rhs[0] * rhs_scale
+            and lhs[1] * lhs_scale == rhs[1] * rhs_scale)
+
+
 def verify_square_witness(p: Poly, witness: TowerWitness) -> VerificationReport:
     """Check a squared-equation witness: compute y' from the declared
-    generator rule by the chain rule and test (y')^2 - P(y) = 0 exactly."""
+    generator rule by the chain rule and test (y')^2 - P(y) = 0 exactly,
+    over cleared polynomials; the normalised residual is built only to
+    render a failure."""
     if len(witness.generators) != 1:
         raise MalformedWitnessError("witness must use exactly one generator")
     generator = witness.generators[0]
@@ -189,11 +236,14 @@ def verify_square_witness(p: Poly, witness: TowerWitness) -> VerificationReport:
     symbol = witness.quad_ext.symbol if witness.quad_ext else "lam"
     field = _QuadField(generator.name, square, symbol)
     value = field.lift(witness.expression)
-    derivative = field.derive(value, generator)
-    residual = field.sub(field.mul(derivative, derivative), field.eval_poly(p, value))
+    passed = _square_identity_holds(p, value, field.rate(generator), square)
     identity = (f"(y')^2 = {render_poly(p)} with y = "
                 f"{field.render(value)}, {describe_generator(generator, witness)}")
-    return VerificationReport(identity, field.is_zero(residual), field.render(residual))
+    if passed:
+        return VerificationReport(identity, True, "0")
+    derivative = field.derive(value, generator)
+    residual = field.sub(field.mul(derivative, derivative), field.eval_poly(p, value))
+    return VerificationReport(identity, False, field.render(residual))
 
 
 def verify_antiderivative(f: RatFunc, z: RatFunc, f_text: str = "") -> VerificationReport:

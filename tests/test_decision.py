@@ -18,7 +18,8 @@ from liouvillian.parser import (parse_expression as pe,
 from liouvillian.verify import (VerificationReport, verify_autonomous_witness,
                                 verify_square_witness)
 
-from helpers import invert_variable, rand_fraction, rand_poly, rand_ratfunc
+from helpers import (invert_variable, is_canonical, rand_distinct_fractions,
+                     rand_fraction, rand_poly, rand_ratfunc)
 
 Y = Poly.gen("y")
 
@@ -253,6 +254,28 @@ class TestLogDerivativeOfAlgebraic:
             v = log_derivative_of_algebraic(gamma.diff() / gamma)
             assert v.kind == "rational"
             assert v.gamma.diff() == (gamma.diff() / gamma) * v.gamma
+
+    def test_gamma_is_canonical(self):
+        """gamma is the product of the bound factors' powers, built with no
+        gcd; equal residues bind their poles into one composite factor."""
+        v = log_derivative_of_algebraic(pe("-1/x - 1/(x+3)", "x"))
+        assert v.certificate.rational_residues == ((fr(-1), Poly("x", (0, 3, 1))),)
+        assert v.gamma == pe("1/(x^2+3*x)", "x") and is_canonical(v.gamma)
+        rng = random.Random(139)
+        composite = 0
+        for _ in range(100):
+            factors = [Poly("x", (-c, 1)) for c in rand_distinct_fractions(rng, rng.randint(1, 4))]
+            factors += rng.sample([Poly("x", (-2, 0, 1)), Poly("x", (1, 1, 1))], rng.randint(0, 2))
+            gamma = RatFunc.const("x", 1)     # the reference: Henrici products
+            for factor in factors:
+                gamma = gamma * RatFunc(factor) ** rng.choice((-3, -1, 1, 2))
+            alpha = gamma.diff() / gamma
+            if alpha.is_zero():
+                continue
+            v = log_derivative_of_algebraic(alpha)
+            assert v.kind == "rational" and v.gamma == gamma and is_canonical(v.gamma)
+            composite += len(v.certificate.rational_residues) < len(factors)
+        assert composite >= 30
 
 
 class TestAbel:

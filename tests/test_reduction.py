@@ -119,6 +119,24 @@ class TestHermiteAgainstReference:
             assert _hermite_outcome(hermite_reduce, f) == \
                 _hermite_outcome(reference_hermite_reduce, f), f
 
+    @pytest.mark.parametrize("var", ["x", "y"])
+    def test_exact_part_is_canonical(self, var):
+        """The exact part is built with no gcd: it must be canonical as
+        built, and so must the antiderivative built from it."""
+        rng = random.Random(41 if var == "x" else 43)
+        repeated = 0
+        for _ in range(200):
+            f = _random_fraction(rng, var)
+            if is_squarefree(f.den):
+                continue
+            repeated += 1
+            parts = hermite_reduce(f)
+            assert helpers.is_canonical(parts.exact_part), f
+            g = parts.exact_part + RatFunc(rand_poly(rng, var, max_deg=3))
+            anti = rational_antiderivative(g.diff())
+            assert helpers.is_canonical(anti) and anti.diff() == g.diff(), g
+        assert repeated >= 120
+
     def test_inexact_lowering_raises(self, monkeypatch):
         """A wrong inverse leaves a numerator that V does not divide; both
         reductions must refuse it rather than return wrong parts."""

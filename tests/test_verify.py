@@ -6,18 +6,18 @@ from fractions import Fraction
 import pytest
 
 from liouvillian.algebra import Poly, RatFunc, ResourceLimitError
-from liouvillian.decision import decide_autonomous
+from liouvillian.decision import decide_autonomous, decide_square
 from liouvillian.parser import (parse_expression as pe, parse_polynomial as pp,
                                 render)
 from liouvillian.towers import (ANTIDERIVATIVE, EXPONENTIAL, Generator,
                                 QuadExtension, QuadValue, TowerWitness,
                                 antiderivative_witness, exponential_witness)
-from liouvillian.verify import (MalformedWitnessError, is_rational_square,
+from liouvillian.verify import (MalformedWitnessError, _QuadField, is_rational_square,
                                 rational_square_root, verify_antiderivative,
                                 verify_autonomous_witness, verify_log_derivative,
                                 verify_square_witness)
 
-from helpers import check_leibniz, rand_fraction, rand_ratfunc
+from helpers import check_leibniz, rand_fraction, rand_poly, rand_ratfunc
 
 
 def fr(n, d=1):
@@ -233,3 +233,131 @@ class TestCorruptedWitnessResidual:
                                                   mutated.diff() - f)
                 failed[1] += self._assert_matches(verify_log_derivative(g, mutated),
                                                   mutated.diff() - g * mutated)
+
+
+def _normalised_square_check(p, witness):
+    """(y')^2 - P(y) in the normalised pair arithmetic of _QuadField: whether
+    it is zero, and its rendering."""
+    generator = witness.generators[0]
+    ext = witness.quad_ext
+    field = _QuadField(generator.name, ext.square if ext else None,
+                       ext.symbol if ext else "lam")
+    value = field.lift(witness.expression)
+    derivative = field.derive(value, generator)
+    residual = field.sub(field.mul(derivative, derivative), field.eval_poly(p, value))
+    return field.is_zero(residual), field.render(residual)
+
+
+def _with(witness, expression=None, rate=None, square=None):
+    """The witness with its expression, its generator's rate or its lam^2
+    replaced."""
+    generator = witness.generators[0]
+    if rate is not None:
+        generator = Generator(generator.name, generator.kind, rate)
+    ext = witness.quad_ext
+    if square is not None:
+        ext = QuadExtension(ext.symbol, square)
+    return TowerWitness((generator,), ext, expression or witness.expression,
+                        witness.relation)
+
+
+def _bumped(rng, value, power=1):
+    """A QuadValue with k*gen^power, k a nonzero constant, added to one of
+    its components."""
+    bump = rand_fraction(rng, nonzero=True) * RatFunc.gen(value.base.var) ** power
+    if value.lam_part.is_zero() or rng.random() < 0.5:
+        return QuadValue(value.base + bump, value.lam_part)
+    return QuadValue(value.base, value.lam_part + bump)
+
+
+def _constant_root_witness(rng):
+    """A passing witness for P of degree 5 to 7: y is a constant root of P,
+    rational or lam with lam^2 = c, over either generator kind."""
+    cofactor = rand_poly(rng, "y", max_deg=5, span=5, nonzero=True)
+    while cofactor.degree() < 4:
+        cofactor = cofactor * Poly("y", (rand_fraction(rng, 3), 1))
+    name, kind = rng.choice((("t", ANTIDERIVATIVE), ("v", EXPONENTIAL)))
+    if rng.random() < 0.5:
+        root = rand_fraction(rng, 4)
+        p, ext = Poly("y", (-root, 1)) * cofactor, None
+        expression = QuadValue.constant(name, root)
+        rate = QuadValue.constant(name, rand_fraction(rng, nonzero=True))
+    else:
+        square = rng.choice((fr(2), fr(-1), fr(3, 5), fr(-7, 2)))
+        p, ext = Poly("y", (-square, 0, 1)) * cofactor, QuadExtension("lam", square)
+        expression = QuadValue.constant(name, 0, 1)
+        rate = QuadValue.constant(name, rand_fraction(rng), rand_fraction(rng, nonzero=True))
+    generator = Generator(name, kind, rate if kind == EXPONENTIAL else None)
+    return p, TowerWitness((generator,), ext, expression, "constant root")
+
+
+def _random_witness(rng):
+    """An arbitrary witness over either generator kind, with or without an
+    extension: almost always failing."""
+    name, kind = rng.choice((("t", ANTIDERIVATIVE), ("v", EXPONENTIAL)))
+    ext = rng.choice((None, QuadExtension("lam", fr(-3)), QuadExtension("lam", fr(5, 2))))
+    lam = rand_ratfunc(rng, name, max_deg=2) if ext else RatFunc.zero(name)
+    expression = QuadValue(rand_ratfunc(rng, name, max_deg=2), lam)
+    rate = QuadValue.constant(name, rand_fraction(rng), rand_fraction(rng) if ext else 0)
+    generator = Generator(name, kind, rate if kind == EXPONENTIAL else None)
+    p = rand_poly(rng, "y", max_deg=rng.choice((2, 4, 6)), span=4, nonzero=True)
+    return p, TowerWitness((generator,), ext, expression, "random")
+
+
+class TestSquareCheckAgainstNormalised:
+    """The square check compares cleared polynomials N^2 D^(e-4) and
+    sum p_k Y^k D^(e-k), e = max(4, deg P): it passes exactly when the
+    normalised residual is zero and renders that residual on a failure."""
+
+    def _assert_matches(self, p, witness):
+        report = verify_square_witness(p, witness)
+        assert (report.passed, report.residual) == _normalised_square_check(p, witness)
+        return report.passed
+
+    def _perturbations(self, rng, p, witness):
+        yield _with(witness, expression=_bumped(rng, witness.expression))
+        rate = witness.generators[0].rate
+        if rate is not None:
+            yield _with(witness, rate=_bumped(rng, rate, power=0))
+        if witness.quad_ext is not None:
+            square = witness.quad_ext.square + rng.choice((1, 2, fr(1, 3)))
+            if square != 0 and not is_rational_square(square):
+                yield _with(witness, square=square)
+
+    def test_constructions_and_their_perturbations(self):
+        rng = random.Random(211)
+        kinds, failed = {}, 0
+        for _ in range(150):
+            p = rand_poly(rng, "y", max_deg=2, span=6, nonzero=True)
+            verdict = decide_square(p)
+            if verdict.witness is None:
+                continue
+            witness = verdict.witness
+            kind = (p.degree(), witness.generators[0].kind, witness.quad_ext is not None)
+            kinds[kind] = kinds.get(kind, 0) + 1
+            assert self._assert_matches(p, witness)
+            for mutated in self._perturbations(rng, p, witness):
+                failed += not self._assert_matches(p, mutated)
+        assert failed >= 250
+        # constant (rational and lam), linear, quadratic (rational rate and lam)
+        assert set(kinds) == {(0, ANTIDERIVATIVE, False), (0, ANTIDERIVATIVE, True),
+                              (1, ANTIDERIVATIVE, False), (2, EXPONENTIAL, False),
+                              (2, EXPONENTIAL, True)}
+
+    def test_degree_above_four(self):
+        rng = random.Random(223)
+        failed = 0
+        for _ in range(60):
+            p, witness = _constant_root_witness(rng)
+            assert p.degree() > 4
+            assert self._assert_matches(p, witness)
+            for mutated in self._perturbations(rng, p, witness):
+                failed += not self._assert_matches(p, mutated)
+            bumped = p + rand_fraction(rng, nonzero=True)
+            failed += not self._assert_matches(bumped, witness)
+        assert failed >= 140
+
+    def test_random_witnesses(self):
+        rng = random.Random(227)
+        for _ in range(150):
+            self._assert_matches(*_random_witness(rng))
