@@ -388,6 +388,30 @@ def _int_exact_quotient(d: list[int], f: list[int]) -> list[int]:
     return quotient
 
 
+def _int_inverse_mod(r: list[int], v: list[int]) -> tuple[Fraction, list[int]]:
+    """The inverse of r modulo v over Q, for integer lists with deg r < deg v,
+    as a Fraction scale times a primitive integer list.
+
+    Extended Euclid by pseudo-division, with s*r = rem (mod v) kept over Z:
+    each remainder and its cofactor s are divided by their joint content
+    (Brown & Traub, JACM 18, 1971).  deg s < deg v throughout, so the
+    cofactor of the constant remainder c is the inverse times c.
+    """
+    r0, s0, r1, s1 = v, [], r, [1]
+    while len(r1) > 1:
+        q, rem, k = _int_pseudo_divrem(r0, r1)
+        if not rem:
+            break
+        s = _int_add([k * c for c in s0], [-c for c in _int_mul(q, s1)])
+        common = _int_gcd(*rem, *s)
+        r0, s0, r1, s1 = r1, s1, [c // common for c in rem], [c // common for c in s]
+    if len(r1) != 1:
+        raise InternalInconsistencyError(
+            "expected an element invertible modulo the denominator")
+    prim = _primitive(s1)
+    return Fraction(s1[-1], r1[0] * prim[-1]), prim
+
+
 def gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor, from its images modulo the primes below
     2^62 that do not divide gamma = gcd(lc a, lc b), combined by CRT.

@@ -307,8 +307,8 @@ def decide_abel(coeffs: Sequence[RatFunc]) -> AbelVerdict:
             if not check.passed:
                 raise InternalInconsistencyError(f"scaling gamma failed: {check.identity}")
             hypotheses.append((HYP_SCALING, "pass"))
-            work = [work[i] * gamma**i for i in range(len(work))]
-            work[0] = RatFunc.zero(linear.var)
+            work = [RatFunc.zero(linear.var),
+                    *(c * gamma**i for i, c in enumerate(work[1:], start=1))]
             scaled = tuple(work)
         elif scaling.kind == "algebraic":
             hypotheses.append((HYP_SCALING, "fail: gamma exists but is not in Q(x)"))

@@ -6,8 +6,10 @@ Everything a first-order decision procedure needs to know about ``f(y)``:
   squarefree denominator; ``f`` has a rational antiderivative iff ``h = 0``
   (the polynomial part always integrates in characteristic zero).  It runs
   over Z from one squarefree decomposition of the denominator (Bronstein,
-  *Symbolic Integration I*, §2.2).  The exact part ``g`` is reduced by
-  construction and is built with no gcd.
+  *Symbolic Integration I*, §2.2), the inverse modulo each repeated factor
+  included.  The exact part ``g`` is reduced by construction and is built
+  with no gcd; ``h`` is normalised only when it is returned, not when only
+  its vanishing is asked.
 * The residue polynomial ``S(t)`` of a proper ``h`` with squarefree
   denominator has exactly the residues of ``h`` at its poles as roots.
   Residues are never represented as floating or algebraic numbers, only
@@ -32,10 +34,10 @@ from operator import floordiv, truediv
 
 from .algebra import (InternalInconsistencyError, Poly, RatFunc,
                       ResourceLimitError, _derivative, _int_add, _int_clear,
-                      _int_exact_quotient, _int_mul, _int_pseudo_divrem,
-                      _integer_form, _primitive, gcd, is_squarefree,
-                      normalized_part, primitive_part, rational_roots,
-                      squarefree_decompose)
+                      _int_exact_quotient, _int_inverse_mod, _int_mul,
+                      _int_pseudo_divrem, _integer_form, _primitive, gcd,
+                      is_squarefree, normalized_part, primitive_part,
+                      rational_roots, squarefree_decompose)
 from .verify import is_rational_square
 
 # W(u) has degree (deg S)^2 and is built only for the certificate of a
@@ -64,6 +66,10 @@ def _ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
 
 
 def _inverse_mod(a: Poly, modulus: Poly) -> Poly:
+    """a^-1 mod modulus by Euclid over Q.  Its one caller in the program is
+    :func:`residue_resultant`; Hermite reduction inverts over Z with
+    :func:`~liouvillian.algebra._int_inverse_mod`, and the tests' reference
+    Hermite reduction keeps this one as the oracle it is checked against."""
     g, s, _ = _ext_gcd(a, modulus)
     if not g.is_constant() or g.is_zero():
         raise InternalInconsistencyError(
@@ -93,21 +99,25 @@ def _combine(s1: Fraction, p1: list[int], s2: Fraction, p2: list[int]
     return Fraction(total[-1], s1.denominator * s2.denominator * prim[-1]), prim
 
 
-def hermite_reduce(f: RatFunc) -> HermiteParts:
+def _hermite(f: RatFunc, exact_only: bool) -> HermiteParts | None:
     """Hermite reduction over Z: Bronstein's quadratic HermiteReduce.
 
     The proper part's denominator gets one squarefree decomposition.  For
     each repeated factor V of multiplicity m, with U the other factors, U*V'
-    is inverted modulo V once; then for j = m-1, ..., 1 the numerator A of
-    A/(U V^(j+1)), a Fraction scale times a primitive integer list, gives
-    B = -A/j * (U V')^-1 mod V and A/(U V^(j+1)) = (B/V^j)' + A_/(U V^j) with
-    A_ = (A + j B U V')/V - U B', a division that is exact in Z[y].  The
-    exact part, sum B/V^j, is assembled over prod V^(m-1).
+    is inverted modulo V once, over Z; then for j = m-1, ..., 1 the
+    numerator A of A/(U V^(j+1)), a Fraction scale times a primitive integer
+    list, gives B = -A/j * (U V')^-1 mod V and A/(U V^(j+1)) = (B/V^j)' +
+    A_/(U V^j) with A_ = (A + j B U V')/V - U B', a division that is exact
+    in Z[y].  The exact part, sum B/V^j, is assembled over prod V^(m-1).
+    With ``exact_only``, an f whose remainder is nonzero gives None, before
+    the exact part or the remainder is built.
     """
     poly_part, proper = f.proper_split()
     var = f.var
     decomposition = squarefree_decompose(proper.den)
     if all(m == 1 for _, m in decomposition):   # [] when proper is 0
+        if exact_only and not proper.is_zero():
+            return None
         return HermiteParts(poly_part, RatFunc.zero(var), proper)
     factors = [(_int_clear(v), m) for v, m in decomposition]
     # proper = scale * num / prod V^m over Z
@@ -124,7 +134,7 @@ def hermite_reduce(f: RatFunc) -> HermiteParts:
                 u = _int_mul(u, w)
         uv = _int_mul(u, _derivative(v))
         _, r, k_uv = _int_pseudo_divrem(uv, v)
-        inv_scale, inv = _integer_form(_inverse_mod(Poly(var, r), Poly(var, v)))
+        inv_scale, inv = _int_inverse_mod(r, v)
         # V^(m-1-j) and n = sum B_j V^(m-1-j), so that sum B_j / V^j = n / V^(m-1)
         power, n_scale, n = [1], Fraction(0), []
         for j in range(m - 1, 0, -1):
@@ -138,6 +148,8 @@ def hermite_reduce(f: RatFunc) -> HermiteParts:
             power = _int_mul(power, v)
         e_scale, e_num = _combine(e_scale, _int_mul(e_num, power), n_scale, _int_mul(n, e_den))
         e_den = _int_mul(e_den, power)
+    if exact_only and num:
+        return None
     # The exact part sum n_V / V^(m-1), scaled to a monic denominator, is
     # canonical as built, with no gcd.  At the first step for V the numerator
     # is coprime to V: f's principal part at V is untouched while the earlier
@@ -153,14 +165,21 @@ def hermite_reduce(f: RatFunc) -> HermiteParts:
                         RatFunc(Poly(var, [scale * c for c in num]), Poly(var, d)))
 
 
+def hermite_reduce(f: RatFunc) -> HermiteParts:
+    """Hermite reduction of f over Z (see :func:`_hermite`), its remainder
+    normalised by one gcd."""
+    return _hermite(f, exact_only=False)
+
+
 def rational_antiderivative(f: RatFunc) -> RatFunc | None:
     """The z with z' = f when one exists in Q(var), else None.
 
     Works identically for the autonomous variable y (constants ground field)
-    and for x over Q(x) with d/dx.
+    and for x over Q(x) with d/dx.  Only whether the Hermite remainder is
+    zero is read, so it is never normalised.
     """
-    parts = hermite_reduce(f)
-    if not parts.remainder.is_zero():
+    parts = _hermite(f, exact_only=True)
+    if parts is None:
         return None
     anti = Poly(f.var, [Fraction(0), *(c / (i + 1)
                                        for i, c in enumerate(parts.poly_part.coeffs))])

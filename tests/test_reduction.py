@@ -8,8 +8,10 @@ import pytest
 
 from liouvillian import reduction
 from liouvillian.algebra import (InternalInconsistencyError, Poly, RatFunc,
-                                 ResourceLimitError, is_squarefree, normalized_part,
-                                 rational_roots, resultant)
+                                 ResourceLimitError, _derivative, _int_add,
+                                 _int_inverse_mod, _int_pseudo_divrem,
+                                 _integer_form, gcd, is_squarefree,
+                                 normalized_part, rational_roots, resultant)
 from liouvillian.parser import parse_expression as pe
 from liouvillian.reduction import (hermite_reduce,
                                    log_derivative_up_to_constant,
@@ -140,12 +142,16 @@ class TestHermiteAgainstReference:
     def test_inexact_lowering_raises(self, monkeypatch):
         """A wrong inverse leaves a numerator that V does not divide; both
         reductions must refuse it rather than return wrong parts."""
-        inverse = reduction._inverse_mod
+        int_inverse, inverse = reduction._int_inverse_mod, helpers._inverse_mod
+
+        def int_off_by_one(r, v):
+            scale, prim = int_inverse(r, v)
+            return scale, _int_add(prim, [1])
 
         def off_by_one(a, modulus):
             return inverse(a, modulus) + 1
 
-        monkeypatch.setattr(reduction, "_inverse_mod", off_by_one)
+        monkeypatch.setattr(reduction, "_int_inverse_mod", int_off_by_one)
         monkeypatch.setattr(helpers, "_inverse_mod", off_by_one)
         for text in ("1/x^2", "1/(2*x+7)^6", "(x+5)/((x^2+x+1)^3*(x-2))"):
             f = pe(text, "x")
@@ -160,6 +166,96 @@ class TestHermiteAgainstReference:
                             lambda den: [(y, 1), (y, 2)])
         with pytest.raises(InternalInconsistencyError):
             hermite_reduce(pe("1/y^3", "y"))
+
+
+def _int_list(rng, degree, bits):
+    """Random integer list of exactly this degree, coefficients of either sign."""
+    span = 2**bits
+    return [rng.randint(-span, span) for _ in range(degree)] + \
+        [rng.choice((-1, 1)) * rng.randint(1, span)]
+
+
+class TestIntegerInverse:
+    """_int_inverse_mod against the inverse over Q it replaced in Hermite
+    reduction: the inverse is unique, so the two agree exactly."""
+
+    @staticmethod
+    def _oracle(r, v):
+        return _integer_form(reduction._inverse_mod(Poly("x", r), Poly("x", v)))
+
+    def test_random_coprime_pairs(self):
+        rng = random.Random(53)
+        checked = 0
+        for _ in range(400):
+            n = rng.randint(1, 10)
+            bits = rng.choice((3, 3, 20, 110))
+            v = _int_list(rng, n, bits)
+            r = _int_list(rng, rng.randint(0, n - 1), rng.choice((3, 110)))
+            if not gcd(Poly("x", r), Poly("x", v)).is_constant():
+                continue
+            checked += 1
+            assert _int_inverse_mod(r, v) == self._oracle(r, v), (r, v)
+        assert checked >= 350
+
+    @pytest.mark.parametrize("r, v", [
+        ([7], [1, 2]),                               # constant r, linear V
+        ([-3], [5, 0, -4]),                          # negative leading coefficient
+        ([2**120 + 1, -3], [1, 1, 2**105]),          # wide coefficients
+        ([0, 0, 1], [-1, 0, 0, 2]),
+    ])
+    def test_examples(self, r, v):
+        assert _int_inverse_mod(r, v) == self._oracle(r, v)
+
+    def test_factor_of_a_wide_non_monic_cube(self):
+        """U*V' mod V for the one repeated factor of the cube, and the
+        inverse that hermite_reduce takes of it."""
+        v = [1, 987654321] + [0] * 10 + [123456789]
+        r = _int_pseudo_divrem(_derivative(v), v)[1]
+        assert _int_inverse_mod(r, v) == self._oracle(r, v)
+        f = pe("1/(123456789*x^12 + 987654321*x + 1)^3", "x")
+        assert hermite_reduce(f) == reference_hermite_reduce(f)
+
+    @pytest.mark.parametrize("r, v", [
+        ([], [1, 0, 1]),                             # zero r
+        ([1, 1], [1, 2, 1]),                         # r and V share x + 1
+        ([0, 2], [0, 3, 0, 1]),                      # r and V share x
+    ])
+    def test_non_invertible_raises(self, r, v):
+        with pytest.raises(InternalInconsistencyError,
+                           match="expected an element invertible modulo the denominator"):
+            _int_inverse_mod(r, v)
+
+
+class TestUnnormalisedRemainder:
+    """rational_antiderivative reads only whether the Hermite remainder is
+    zero, and never normalises it."""
+
+    def test_remainder_sharing_a_factor_with_prod_v(self):
+        # the remainder numerator over (x-1)*(x+1) is x-1
+        f = pe("-1/(x-1)^2 + 1/(x+1)", "x")
+        parts = hermite_reduce(f)
+        assert parts.exact_part == pe("1/(x-1)", "x")
+        assert parts.remainder == pe("1/(x+1)", "x")
+        assert helpers.is_canonical(parts.remainder)
+        assert rational_antiderivative(f) is None
+
+    @pytest.mark.parametrize("var", ["x", "y"])
+    def test_none_exactly_when_the_remainder_is_nonzero(self, var):
+        rng = random.Random(59 if var == "x" else 61)
+        seen = {True: 0, False: 0}
+        for _ in range(200):
+            f = _random_fraction(rng, var)
+            if rng.random() < 0.5:
+                f = f.diff()            # an exact derivative, plus a log part at times
+                if rng.random() < 0.5:
+                    f = f + RatFunc(rand_poly(rng, var, max_deg=1, nonzero=True),
+                                    rand_poly(rng, var, max_deg=2, nonzero=True))
+            if is_squarefree(f.den):
+                continue
+            vanishes = hermite_reduce(f).remainder.is_zero()
+            seen[vanishes] += 1
+            assert (rational_antiderivative(f) is None) == (not vanishes), f
+        assert min(seen.values()) >= 30
 
 
 class TestRationalAntiderivative:
